@@ -7,9 +7,9 @@ functions.  Its on-source imaginary part Qi_k carries the total currents.
 Evaluation strategy:
 
 * Q_0 = Ai(a-) Ci(a+) with a+- = eps - zeta -+ rho and Ci = Bi + i Ai.
-* Negative orders Q_{-n} are n-fold zeta-derivatives of Q_0; these are built
-  symbolically once per order (derivatives of Ai/Ci reduced through the Airy
-  ODE) and cached as fast numeric callables.
+* Negative orders Q_{-n} are n-fold zeta-derivatives of Q_0, summed by the
+  Leibniz rule  Q_{-n} = (-1)^n sum_p C(n, p) Ai^(p)(a-) Ci^(n-p)(a+),  with
+  the derivative tables closed by the Airy equation w'' = x w.
 * Positive orders follow from the five-point recursion
       rho^2 Q_{k+2} = (k + 1/2) Q_{k+1} - (zeta - eps) Q_k - 1/4 Q_{k-2},
   seeded by Q_{-3} ... Q_0.
@@ -19,23 +19,22 @@ Evaluation strategy:
 * Qi_k follows the three-term recursion
       (k + 1/2) Qi_{k+1} + eps Qi_k - 1/4 Qi_{k-2} = 0
   from the seeds Qi_0 = Ai^2, Qi_{-1} = -2 Ai Ai', Qi_{-2} = 2 Ai'^2
-  + 2 eps Ai^2.  For eps > 0 the recursion cancels catastrophically (the
-  result is exponentially smaller than the terms), so the same recursion is
-  re-run in adaptive-precision arithmetic whenever the estimated digit loss
-  matters.
+  + 2 eps Ai^2.  Every Qi_{-n} = (-d/deps)^n Ai^2 comes from the same Leibniz
+  rule over the Airy derivative table.  For eps > 0 the recursion cancels
+  catastrophically (the result is exponentially smaller than the terms), so
+  the same recursion is re-run in adaptive-precision arithmetic whenever the
+  estimated digit loss matters.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-import sympy as sp
 
 from .errors import (
     DomainError,
@@ -44,10 +43,16 @@ from .errors import (
     StabilityWarning,
     UnsupportedOrderError,
 )
-from .specfun import airy_scaled, airy_scaled_grid
+from .specfun import (
+    ScaledAiryValues,
+    _airy_ode_derivs,
+    _double_factorial,
+    airy_scaled,
+    airy_scaled_grid,
+)
 
 #: Supported index windows.
-Q_NEG_MAX = 12      # Q_{-k} symbolic derivatives
+Q_NEG_MAX = 12      # Q_{-k} zeta-derivatives
 Q_K_MAX = 42        # positive-index forward recursion depth
 QI_K_MIN, QI_K_MAX = -24, 60
 
@@ -78,67 +83,65 @@ class QArgs:
 
 
 # --------------------------------------------------------------------------
-# Symbolic zeta-derivatives of Q_0 = A0(a-) C0(a+).
+# Q_{-n} by the Leibniz rule.
 #
-# Q_{-n} is stored as a dict {(i, j): P_ij(x, y)} meaning
-#     sum_ij P_ij(a-, a+) * A_i(a-) * C_j(a+),
-# where A_0 = Ai, A_1 = Ai', C_0 = Ci, C_1 = Ci', x = a-, y = a+.
-# d/dzeta acts as -(d/dx + d/dy) on both arguments, and the Airy ODE closes
-# the basis: A_0' = A_1, A_1' = x A_0 (same for C with y).
+# Q_0 = Ai(x) Ci(y) with x = alpha_-, y = alpha_+, and d/dzeta acts as
+# -(d/dx + d/dy), so
+#     Q_{-n} = (-1)^n sum_p C(n, p) Ai^(p)(x) Ci^(n-p)(y),
+# with both derivative tables closed by the Airy equation w'' = x w.
 # --------------------------------------------------------------------------
 
-_X, _Y = sp.symbols("x y")
+
+def _leibniz(orders, f: list, g: list) -> list:
+    """[(-1)^n sum_p C(n, p) f[p] g[n-p] for n in orders]: n-th derivatives of a
+    product whose factors both run against the variable, from their tables."""
+    out = []
+    for n in orders:
+        total = f[0] * g[n]
+        for p in range(1, n + 1):
+            total += math.comb(n, p) * f[p] * g[n - p]
+        out.append(-total if n % 2 else total)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _zeta_polys(n: int) -> tuple[tuple[int, int, sp.Expr], ...]:
-    if n == 0:
-        return ((0, 0, sp.Integer(1)),)
-    acc: dict[tuple[int, int], sp.Expr] = defaultdict(lambda: sp.Integer(0))
-    for i, j, poly in _zeta_polys(n - 1):
-        acc[(i, j)] += -(sp.diff(poly, _X) + sp.diff(poly, _Y))
-        if i == 0:
-            acc[(1, j)] += -poly
-        else:
-            acc[(0, j)] += -_X * poly
-        if j == 0:
-            acc[(i, 1)] += -poly
-        else:
-            acc[(i, 0)] += -_Y * poly
-    return tuple(
-        (i, j, sp.expand(p)) for (i, j), p in sorted(acc.items()) if p != 0
+def _q_seeds(orders, x, y, am, ap) -> list:
+    """Mantissas [Q_{-n} for n in orders] sharing the scale exp(s+ - s-).
+
+    am, ap hold the scaled Airy values at x = alpha_- and y = alpha_+
+    (ScaledAiryValues fields); x, y and the fields may be floats or arrays.
+    """
+    nmax = max(orders)
+    exp = math.exp if isinstance(ap.s, float) else np.exp
+    damp = exp(-2.0 * ap.s)  # Ai(a+) relative to Bi(a+)
+    A = _airy_ode_derivs(nmax, am.ai_m, am.aip_m, x)
+    C = _airy_ode_derivs(
+        nmax, ap.bi_m + 1j * (ap.ai_m * damp), ap.bip_m + 1j * (ap.aip_m * damp), y
     )
+    return _leibniz(orders, A, C)
 
 
-@lru_cache(maxsize=None)
-def _zeta_funcs(n: int):
-    return tuple(
-        (i, j, sp.lambdify((_X, _Y), poly, modules="math"))
-        for i, j, poly in _zeta_polys(n)
-    )
+def _q_recur(table: dict, kmax: int, r2, w) -> None:
+    """Fill table[1..kmax] from table[-3..0]; r2 = rho^2, w = zeta - eps."""
+    for k in range(-1, kmax - 1):
+        # rho^2 Q_{k+2} = (k + 1/2) Q_{k+1} - (zeta - eps) Q_k - 1/4 Q_{k-2}
+        table[k + 2] = (
+            (k + 0.5) * table[k + 1] - w * table[k] - 0.25 * table[k - 2]
+        ) / r2
 
 
-def _airy_pair(a: QArgs):
-    return airy_scaled(a.alpha_minus), airy_scaled(a.alpha_plus)
+def _q_neg_table(orders, a: QArgs) -> tuple[list, float]:
+    """Scalar mantissas [Q_{-n} for n in orders] and their shared logscale."""
+    for n in orders:
+        if n < 0 or n > Q_NEG_MAX:
+            raise UnsupportedOrderError(f"need 0 <= n <= {Q_NEG_MAX}, got {n}")
+    am, ap = airy_scaled(a.alpha_minus), airy_scaled(a.alpha_plus)
+    return _q_seeds(orders, a.alpha_minus, a.alpha_plus, am, ap), ap.s - am.s
 
 
-def _q_neg_scaled(n: int, a: QArgs, am=None, ap=None) -> tuple[complex, float]:
+def _q_neg_scaled(n: int, a: QArgs) -> tuple[complex, float]:
     """(mantissa, logscale) for Q_{-n}; value = mantissa * exp(logscale)."""
-    if n < 0 or n > Q_NEG_MAX:
-        raise UnsupportedOrderError(f"need 0 <= n <= {Q_NEG_MAX}, got {n}")
-    if am is None or ap is None:
-        am, ap = _airy_pair(a)
-    x, y = a.alpha_minus, a.alpha_plus
-    damp = math.exp(-2.0 * ap.s)  # Ai(a+) relative to Bi(a+)
-    amod = (am.ai_m, am.aip_m)
-    cmod = (
-        complex(ap.bi_m, ap.ai_m * damp),
-        complex(ap.bip_m, ap.aip_m * damp),
-    )
-    total = 0.0 + 0.0j
-    for i, j, f in _zeta_funcs(n):
-        total += f(x, y) * amod[i] * cmod[j]
-    return total, ap.s - am.s
+    (m,), logscale = _q_neg_table((n,), a)
+    return m, logscale
 
 
 def q0(a: QArgs) -> complex:
@@ -155,11 +158,8 @@ def q_neg(k: int, a: QArgs) -> complex:
 
 def _q_table_scaled(kmax: int, a: QArgs) -> tuple[dict[int, complex], float]:
     """Mantissas of Q_{-3} ... Q_{kmax} sharing one logscale."""
-    am, ap = _airy_pair(a)
-    table: dict[int, complex] = {}
-    logscale = ap.s - am.s
-    for n in range(0, 4):
-        table[-n], _ = _q_neg_scaled(n, a, am, ap)
+    seeds, logscale = _q_neg_table(range(4), a)
+    table = {-n: m for n, m in enumerate(seeds)}
     if kmax >= 1:
         if a.rho == 0.0:
             raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
@@ -169,13 +169,7 @@ def _q_table_scaled(kmax: int, a: QArgs) -> tuple[dict[int, complex], float]:
                 StabilityWarning,
                 stacklevel=3,
             )
-        r2 = a.rho * a.rho
-        w = a.zeta - a.eps
-        for k in range(-1, kmax - 1):
-            # rho^2 Q_{k+2} = (k + 1/2) Q_{k+1} - (zeta - eps) Q_k - 1/4 Q_{k-2}
-            table[k + 2] = (
-                (k + 0.5) * table[k + 1] - w * table[k] - 0.25 * table[k - 2]
-            ) / r2
+        _q_recur(table, kmax, a.rho * a.rho, a.zeta - a.eps)
     return table, logscale
 
 
@@ -197,37 +191,20 @@ def q(k: int, a: QArgs) -> complex:
 
 def q_grad(k: int, a: QArgs) -> tuple[complex, complex]:
     """(dQ_k/drho, dQ_k/dzeta) = (-2 rho Q_{k+1}, Q_{k-1})."""
-    if k + 1 > Q_K_MAX:
-        raise UnsupportedOrderError(f"gradient needs order {k + 1} > {Q_K_MAX}")
-    if k + 1 <= 0:
-        d_rho = -2.0 * a.rho * q_neg(-(k + 1), a)
-        d_zeta = q_neg(-(k - 1), a)
-        return d_rho, d_zeta
-    table, logscale = _q_table_scaled(k + 1, a)
+    m_rho, m_zeta, logscale = q_grad_scaled(k, a)
     scale = math.exp(logscale)
-    return -2.0 * a.rho * table[k + 1] * scale, table[k - 1] * scale
+    return m_rho * scale, m_zeta * scale
 
 
 def q_grad_scaled(k: int, a: QArgs) -> tuple[complex, complex, float]:
     """Scaled gradient: (d_rho mantissa, d_zeta mantissa, shared logscale)."""
     if k + 1 > Q_K_MAX:
         raise UnsupportedOrderError(f"gradient needs order {k + 1} > {Q_K_MAX}")
-    kmax = max(k + 1, 1) if k + 1 >= 1 else 0
     if k + 1 <= 0:
-        m1, s1 = _q_neg_scaled(-(k + 1), a)
-        m2, s2 = _q_neg_scaled(-(k - 1), a)
-        # both share the same logscale by construction
-        return -2.0 * a.rho * m1, m2, s1
+        (m_up, m_down), logscale = _q_neg_table((-(k + 1), 1 - k), a)
+        return -2.0 * a.rho * m_up, m_down, logscale
     table, logscale = _q_table_scaled(k + 1, a)
     return -2.0 * a.rho * table[k + 1], table[k - 1], logscale
-
-
-@lru_cache(maxsize=None)
-def _zeta_funcs_np(n: int):
-    return tuple(
-        (i, j, sp.lambdify((_X, _Y), poly, modules="numpy"))
-        for i, j, poly in _zeta_polys(n)
-    )
 
 
 def q_table_scaled_grid(kmax: int, rho, zeta, eps: float):
@@ -244,38 +221,13 @@ def q_table_scaled_grid(kmax: int, rho, zeta, eps: float):
     rho, zeta = np.broadcast_arrays(rho, zeta)
     x = eps - zeta + rho  # alpha_minus
     y = eps - zeta - rho  # alpha_plus
-    ai_m, aip_m, _, _, s_m = airy_scaled_grid(x)
-    ai_p, aip_p, bi_p, bip_p, s_p = airy_scaled_grid(y)
-    damp = np.exp(-2.0 * s_p)
-    amod = (ai_m, aip_m)
-    cmod = (bi_p + 1j * ai_p * damp, bip_p + 1j * aip_p * damp)
-    table: dict[int, np.ndarray] = {}
-    for n in range(0, 4):
-        tot = np.zeros(rho.shape, dtype=complex)
-        for i, j, f in _zeta_funcs_np(n):
-            tot += f(x, y) * amod[i] * cmod[j]
-        table[-n] = tot
-    logscale = s_p - s_m
+    am = ScaledAiryValues(*airy_scaled_grid(x))
+    ap = ScaledAiryValues(*airy_scaled_grid(y))
+    table = {-n: m for n, m in enumerate(_q_seeds(range(4), x, y, am, ap))}
     if kmax >= 1:
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.where(rho > 0.0, rho * rho, np.nan)
-            w = zeta - eps
-            for k in range(-1, kmax - 1):
-                table[k + 2] = (
-                    (k + 0.5) * table[k + 1] - w * table[k] - 0.25 * table[k - 2]
-                ) / r2
-    return table, logscale
-
-
-def _double_factorial(n: int) -> float:
-    # Convention: (-1)!! = 0!! = 1.
-    if n <= 0:
-        return 1.0
-    out = 1.0
-    while n > 0:
-        out *= n
-        n -= 2
-    return out
+            _q_recur(table, kmax, np.where(rho > 0.0, rho * rho, np.nan), zeta - eps)
+    return table, ap.s - am.s
 
 
 def q_asym_origin(k: int, rho: float) -> float:
@@ -291,25 +243,23 @@ def q_asym_origin(k: int, rho: float) -> float:
 # Qi_k(eps): the on-source imaginary parts.
 # --------------------------------------------------------------------------
 
-_E = sp.symbols("e")
 
+def _qi_from_airy(k: int, ai, aip, e):
+    """Qi_k from Ai and Ai' at eps = e, in the arithmetic of the arguments.
 
-@lru_cache(maxsize=None)
-def _qi_neg_polys(n: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """Qi_{-n} = a(eps) Ai^2 + b(eps) Ai Ai' + c(eps) Ai'^2 (exact polys)."""
-    if n == 0:
-        return (sp.Integer(1), sp.Integer(0), sp.Integer(0))
-    a_, b_, c_ = _qi_neg_polys(n - 1)
-    # -d/deps on a Ai^2 + b Ai Ai' + c Ai'^2, with Ai'' = eps Ai:
-    na = -(sp.diff(a_, _E) + b_ * _E)
-    nb = -(sp.diff(b_, _E) + 2 * a_ + 2 * c_ * _E)
-    nc = -(sp.diff(c_, _E) + b_)
-    return (sp.expand(na), sp.expand(nb), sp.expand(nc))
-
-
-@lru_cache(maxsize=None)
-def _qi_neg_funcs(n: int):
-    return tuple(sp.lambdify(_E, p, modules="math") for p in _qi_neg_polys(n))
+    Qi_{-n} = (-d/deps)^n Ai^2 = (-1)^n sum_p C(n, p) Ai^(p) Ai^(n-p), with
+    the Ai derivatives closed by Ai'' = eps Ai; positive orders follow from
+    Qi_{-2} ... Qi_0 by the upward recursion.  The arguments may be floats
+    (scaled mantissas give the scaled result) or mpmath numbers.
+    """
+    d = _airy_ode_derivs(max(-k, 2), ai, aip, e)
+    if k <= 0:
+        return _leibniz((-k,), d, d)[0]
+    t = dict(zip((0, -1, -2), _leibniz(range(3), d, d)))
+    for j in range(k):
+        # (j + 1/2) Qi_{j+1} = 1/4 Qi_{j-2} - eps Qi_j
+        t[j + 1] = (0.25 * t[j - 2] - e * t[j]) / (j + 0.5)
+    return t[k]
 
 
 def _qi_loss_digits(k: int, eps: float) -> float:
@@ -328,12 +278,7 @@ def _qi_scaled_mp(k: int, eps: float) -> tuple[float, float]:
     dps = 25 + int(_qi_loss_digits(k, eps))
     with mp.workdps(dps):
         e = mp.mpf(eps)
-        ai = mp.airyai(e)
-        aip = mp.airyai(e, 1)
-        t = {0: ai**2, -1: -2 * ai * aip, -2: 2 * aip**2 + 2 * e * ai**2}
-        for j in range(0, k):
-            t[j + 1] = (t[j - 2] / 4 - e * t[j]) / (j + mp.mpf("0.5"))
-        val = t[k]
+        val = _qi_from_airy(k, mp.airyai(e), mp.airyai(e, 1), e)
         if val == 0:
             return 0.0, 0.0
         logscale = -2.0 * max(eps, 0.0) ** 1.5 * (2.0 / 3.0)
@@ -345,26 +290,10 @@ def qi_scaled(k: int, eps: float) -> tuple[float, float]:
     """(mantissa, logscale) with Qi_k = mantissa * exp(logscale)."""
     if k < QI_K_MIN or k > QI_K_MAX:
         raise UnsupportedOrderError(f"need {QI_K_MIN} <= k <= {QI_K_MAX}, got {k}")
-    v = airy_scaled(eps)
-    logscale = -2.0 * v.s
-    if k <= 0:
-        fa, fb, fc = _qi_neg_funcs(-k)
-        mant = (
-            fa(eps) * v.ai_m * v.ai_m
-            + fb(eps) * v.ai_m * v.aip_m
-            + fc(eps) * v.aip_m * v.aip_m
-        )
-        return mant, logscale
     if _qi_loss_digits(k, eps) > 2.0:
         return _qi_scaled_mp(k, float(eps))
-    t = {
-        0: v.ai_m * v.ai_m,
-        -1: -2.0 * v.ai_m * v.aip_m,
-        -2: 2.0 * v.aip_m * v.aip_m + 2.0 * eps * v.ai_m * v.ai_m,
-    }
-    for j in range(0, k):
-        t[j + 1] = (0.25 * t[j - 2] - eps * t[j]) / (j + 0.5)
-    return t[k], logscale
+    v = airy_scaled(eps)
+    return _qi_from_airy(k, v.ai_m, v.aip_m, eps), -2.0 * v.s
 
 
 def qi(k: int, eps: float) -> float:

@@ -18,7 +18,7 @@ import scipy.special as sc
 
 from .airyq import QArgs, q, q_grad, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
-from .specfun import airy_unrestricted
+from .specfun import _double_factorial, airy_unrestricted
 from .harmonics import (
     MultipoleIndex,
     klm_eval,
@@ -229,16 +229,28 @@ def current_density_z_far(
     """Far-field matrix element j^(z)_{lm,l'm'}(r, o; E)."""
     r = np.asarray(r, dtype=float)
     a = ctx.qargs(r, E)
-    ap = a.alpha_plus
-    if ap >= -ALPHA_THRESHOLD:
+    if a.alpha_plus >= -ALPHA_THRESHOLD:
         raise RegimeError(
-            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {ap:.3g}"
+            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {a.alpha_plus:.3g}"
         )
+    return _current_z_far(idx_a, idx_b, r[0], r[1], a.alpha_minus, a.alpha_plus, ctx)
+
+
+def _current_z_far(
+    idx_a: MultipoleIndex,
+    idx_b: MultipoleIndex,
+    x: float,
+    y: float,
+    am: float,
+    ap: float,
+    ctx: PhysicalContext,
+) -> complex:
+    # j^(z)_{lm,l'm'} at lateral position (x, y) from precomputed alpha_-, alpha_+.
     bf = ctx.beta_f
     sa = math.sqrt(-ap)
-    X, Y = bf * r[0] / sa, bf * r[1] / sa
-    ka = klm_operator_on_airy(idx_a, X, Y, a.alpha_minus)
-    kb = klm_operator_on_airy(idx_b, X, Y, a.alpha_minus)
+    X, Y = bf * x / sa, bf * y / sa
+    ka = klm_operator_on_airy(idx_a, X, Y, am)
+    kb = klm_operator_on_airy(idx_b, X, Y, am)
     return (
         -ctx.beta
         / (4.0 * math.pi * ctx.hbar * ap)
@@ -248,16 +260,6 @@ def current_density_z_far(
         * np.conj(ka)
         * kb
     )
-
-
-def _double_factorial(n: int) -> float:
-    if n <= 0:
-        return 1.0
-    out = 1.0
-    while n > 0:
-        out *= n
-        n -= 2
-    return out
 
 
 def total_current_matrix(
@@ -399,10 +401,13 @@ def polarization_to_source(
 def _far_field_args(grid: DetectorGrid, E: float, ctx: PhysicalContext):
     """Vectorized alpha_-, alpha_+ and x-mesh over a detector plane."""
     xx, yy = np.meshgrid(grid.x, grid.y)
-    rnorm = np.sqrt(xx**2 + yy**2 + grid.z**2)
+    lat2 = xx**2 + yy**2
+    rnorm = np.sqrt(lat2 + grid.z**2)
     bf = ctx.beta_f
     eps = ctx.eps(E)
-    a_minus = eps - bf * grid.z + bf * rnorm
+    # For z > 0, r - z = (x^2 + y^2) / (r + z): on a detector plane r and z
+    # agree to about 8 digits, which the plain difference would lose.
+    a_minus = eps + bf * (lat2 / (rnorm + grid.z) if grid.z > 0.0 else rnorm - grid.z)
     a_plus = eps - bf * grid.z - bf * rnorm
     if np.max(a_plus) >= -ALPHA_THRESHOLD:
         raise RegimeError(
@@ -462,14 +467,16 @@ def photodetachment_profile(
     # General polarization vector: bilinear far-field current matrix.
     src = polarization_to_source(polarization, C, E, ctx)
     items = list(src.amplitudes.items())
+    _, am, ap = _far_field_args(grid, E, ctx)
     values = np.empty((len(grid.y), len(grid.x)))
     for iy, yv in enumerate(grid.y):
         for ix, xv in enumerate(grid.x):
-            r = (xv, yv, grid.z)
             total = 0.0 + 0.0j
-            for ia, (idx_a, la) in enumerate(items):
+            for idx_a, la in items:
                 for idx_b, lb in items:
-                    total += np.conj(la) * lb * current_density_z_far(idx_a, idx_b, r, E, ctx)
+                    total += np.conj(la) * lb * _current_z_far(
+                        idx_a, idx_b, xv, yv, am[iy, ix], ap[iy, ix], ctx
+                    )
             values[iy, ix] = total.real
     return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=values)
 

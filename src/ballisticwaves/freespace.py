@@ -18,6 +18,7 @@ import scipy.special as sc
 
 from .errors import DomainError, SingularityError
 from .harmonics import MultipoleIndex, klm_eval
+from .specfun import _double_factorial
 
 __all__ = [
     "RadialSourceProfile",
@@ -105,10 +106,6 @@ def wigner_current(idx: MultipoleIndex, E: float, mass: float, hbar: float = 1.0
         raise DomainError("wigner_current requires E >= 0")
     k = _wavenumber(E, mass, hbar)
     return mass * k ** (2 * idx.l + 1) / (4.0 * math.pi**2 * hbar**3)
-
-
-def _double_factorial(n: int) -> float:
-    return 1.0 if n <= 0 else float(math.prod(range(n, 0, -2)))
 
 
 def extended_source_strength(

@@ -196,12 +196,7 @@ def klm_operator_on_airy(idx: MultipoleIndex, X: float, Y: float, alpha: float) 
     Each monomial coeff x^p y^q z^s contributes
     coeff * X^p * Y^q * i^s * Ai^(s)(alpha).
     """
-    exp = klm_coeffs(idx)
-    derivs = airy_derivs_upto(idx.l, alpha)
-    total = 0.0 + 0.0j
-    for p, q, s, c in exp.terms:
-        total += c * X**p * Y**q * 1j**s * derivs[s]
-    return total
+    return klm_operator_on_airy_scaled(idx, X, Y, airy_derivs_upto(idx.l, alpha))
 
 
 def klm_operator_on_airy_scaled(

@@ -69,28 +69,28 @@ def _check_finite(x: float) -> float:
 _X_NEG_SWITCH = -5.0e5
 
 
-def _airy_large_neg(x: float) -> AiryValues:
+def _airy_large_neg(x):
     # Oscillatory asymptotic expansion for x << -1 (two correction terms;
     # truncation error is far below the phase rounding at these arguments).
+    # Returns (Ai, Ai', Bi, Bi'); x may be a float or an array.
     t = -x
     xi = (2.0 / 3.0) * t**1.5
-    u1 = 5.0 / 72.0
-    u2 = 385.0 / 10368.0
-    v1 = -7.0 / 72.0
-    v2 = 455.0 / 10368.0
+    u1, u2 = 5.0 / 72.0, 385.0 / 10368.0
+    v1, v2 = -7.0 / 72.0, 455.0 / 10368.0
     ce = 1.0 - u2 / xi**2  # even u-sum
     co = u1 / xi  # odd u-sum
     de = 1.0 - v2 / xi**2
     do = v1 / xi
     ph = xi - 0.25 * math.pi
-    s, c = math.sin(ph), math.cos(ph)
+    sn, cs = np.sin(ph), np.cos(ph)
     pref = 1.0 / (math.sqrt(math.pi) * t**0.25)
     prefd = t**0.25 / math.sqrt(math.pi)
-    ai = pref * (c * ce + s * co)
-    bi = pref * (-s * ce + c * co)
-    aip = prefd * (s * de - c * do)
-    bip = prefd * (c * de + s * do)
-    return AiryValues(ai, aip, bi, bip)
+    return (
+        pref * (cs * ce + sn * co),
+        prefd * (sn * de - cs * do),
+        pref * (-sn * ce + cs * co),
+        prefd * (cs * de + sn * do),
+    )
 
 
 def airy_scaled_grid(x: np.ndarray):
@@ -116,30 +116,8 @@ def airy_scaled_grid(x: np.ndarray):
         ai[mid], aip[mid], bi[mid], bip[mid] = sc.airy(x[mid])
     far = x < _X_NEG_SWITCH
     if far.any():
-        ai[far], aip[far], bi[far], bip[far] = _airy_large_neg_arrays(x[far])
+        ai[far], aip[far], bi[far], bip[far] = _airy_large_neg(x[far])
     return ai, aip, bi, bip, s
-
-
-def _airy_large_neg_arrays(x: np.ndarray):
-    # Vectorized form of _airy_large_neg.
-    t = -x
-    xi = (2.0 / 3.0) * t**1.5
-    u1, u2 = 5.0 / 72.0, 385.0 / 10368.0
-    v1, v2 = -7.0 / 72.0, 455.0 / 10368.0
-    ce = 1.0 - u2 / xi**2
-    co = u1 / xi
-    de = 1.0 - v2 / xi**2
-    do = v1 / xi
-    ph = xi - 0.25 * math.pi
-    sn, cs = np.sin(ph), np.cos(ph)
-    pref = 1.0 / (math.sqrt(math.pi) * t**0.25)
-    prefd = t**0.25 / math.sqrt(math.pi)
-    return (
-        pref * (cs * ce + sn * co),
-        prefd * (sn * de - cs * do),
-        pref * (-sn * ce + cs * co),
-        prefd * (cs * de + sn * do),
-    )
 
 
 def airy_unrestricted(x: float) -> AiryValues:
@@ -149,9 +127,7 @@ def airy_unrestricted(x: float) -> AiryValues:
     negative x falls back to the oscillatory asymptotic series.
     """
     x = _check_finite(x)
-    if x < _X_NEG_SWITCH:
-        return _airy_large_neg(x)
-    ai, aip, bi, bip = sc.airy(x)
+    ai, aip, bi, bip = _airy_large_neg(x) if x < _X_NEG_SWITCH else sc.airy(x)
     return AiryValues(float(ai), float(aip), float(bi), float(bip))
 
 
@@ -185,6 +161,19 @@ def airy_ci(x: float) -> tuple[complex, complex]:
     return complex(v.bi, v.ai), complex(v.bip, v.aip)
 
 
+def _airy_ode_derivs(n: int, w, wp, x) -> list:
+    """Derivatives 0..n of any solution of w'' = x w, from w and w' at x.
+
+    Uses w^(k) = x w^(k-2) + (k-2) w^(k-3).  The arguments may be floats,
+    complex numbers or arrays; the map is linear in (w, w'), so scaled
+    mantissas give scaled derivatives with the same exponential factor.
+    """
+    d = [w, wp][: n + 1]
+    for k in range(2, n + 1):
+        d.append(x * d[k - 2] + (k - 2) * d[k - 3] if k >= 3 else x * d[0])
+    return d
+
+
 def airy_deriv_n(n: int, x: float) -> float:
     """n-th derivative of Ai at x via the closed recurrence.
 
@@ -198,14 +187,7 @@ def airy_deriv_n(n: int, x: float) -> float:
 
 def _airy_deriv_table(n: int, x: float) -> list[float]:
     v = airy(x)
-    d = [0.0] * (n + 1)
-    d[0] = v.ai
-    if n >= 1:
-        d[1] = v.aip
-    for k in range(2, n + 1):
-        # Ai^(k) = x Ai^(k-2) + (k-2) Ai^(k-3)
-        d[k] = x * d[k - 2] + ((k - 2) * d[k - 3] if k >= 3 else 0.0)
-    return d
+    return _airy_ode_derivs(n, v.ai, v.aip, x)
 
 
 def airy_derivs_upto(n: int, x: float) -> np.ndarray:
@@ -274,3 +256,8 @@ def airy_prime_zero(n: int) -> float:
     if n < 1 or n > 100:
         raise DomainError(f"zero index must be in [1, 100], got {n}")
     return float(sc.ai_zeros(n)[1][-1])
+
+
+def _double_factorial(n: int) -> float:
+    # Convention: (-1)!! = 0!! = 1.
+    return 1.0 if n <= 0 else float(math.prod(range(n, 0, -2)))

@@ -108,3 +108,44 @@ def hamiltonian_residual(green, r, E: float, ctx, h_dimless: float = 1e-3) -> fl
 def central_diff(f, x: float, h: float):
     """Fourth-order central difference derivative of a scalar callable."""
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
+
+
+def q_neg_mp(n: int, a, dps: int = 16) -> complex:
+    """Q_{-n} as the n-th zeta-derivative of Ai(alpha_-) Ci(alpha_+) by mpmath.diff.
+
+    a is a QArgs; mpmath.diff raises its working precision with n, so the
+    base precision only sets the accuracy of the final result.
+    """
+    with mp.workdps(dps):
+        rho, eps = mp.mpf(a.rho), mp.mpf(a.eps)
+
+        def q0(zeta):
+            y = eps - zeta - rho
+            return mp.airyai(eps - zeta + rho) * (mp.airybi(y) + 1j * mp.airyai(y))
+
+        return complex(mp.diff(q0, mp.mpf(a.zeta), n))
+
+
+def qi_neg_mp(n: int, eps: float, dps: int = 16) -> float:
+    """Qi_{-n} = (-d/deps)^n Ai(eps)^2 by mpmath.diff."""
+    with mp.workdps(dps):
+        return float((-1) ** n * mp.diff(lambda e: mp.airyai(e) ** 2, mp.mpf(eps), n))
+
+
+def pi_profile_mp(x: float, y: float, z: float, E: float, ctx, dps: int = 40) -> float:
+    """Far-field pi-polarization photocurrent density at (x, y, z) in mpmath.
+
+    Evaluates 24 beta^8 F^7 Ai'(alpha_-)^2 / (pi^2 hbar (-alpha_+)) with
+    alpha_-+ = eps - bF z +- bF r formed in dps digits from the same inputs.
+    """
+    with mp.workdps(dps):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        beta, force, hbar = mp.mpf(ctx.beta), mp.mpf(ctx.force), mp.mpf(ctx.hbar)
+        bf, eps = mp.mpf(ctx.beta_f), mp.mpf(ctx.eps(E))
+        r = mp.sqrt(x * x + y * y + z * z)
+        a_minus = eps - bf * z + bf * r
+        a_plus = eps - bf * z - bf * r
+        return float(
+            24 * beta**8 * force**7 / (mp.pi**2 * hbar * (-a_plus))
+            * mp.airyai(a_minus, 1) ** 2
+        )

@@ -85,6 +85,15 @@ def test_q_neg_is_zeta_derivative():
         assert q_neg(k, QArgs(rho, 0.25, eps)) == pytest.approx(fd, rel=1e-8)
 
 
+def test_q_neg_matches_mpmath_derivatives():
+    # Independent of the Leibniz sum: mpmath differentiates Ai(a-) Ci(a+)
+    # numerically in high precision, at eps < 0, eps = 0 and eps > 0.
+    for a in (QArgs(0.7, 0.3, -2.0), QArgs(0.5, -0.4, 0.0), QArgs(1.2, 0.2, 3.0)):
+        for n in range(Q_NEG_MAX + 1):
+            want = oracles.q_neg_mp(n, a)
+            assert abs(q_neg(n, a) - want) <= 1e-12 * abs(want)
+
+
 def test_q_neg_order_error():
     with pytest.raises(UnsupportedOrderError):
         q_neg(Q_NEG_MAX + 1, QArgs(1.0, 0.0, 0.0))
@@ -211,6 +220,13 @@ def test_qi_seed_anchors():
         )
         # First upward step: Qi_1 = (1/2)[Qi_{-2}/2 - 2 eps Qi_0]
         assert qi(1, eps) == pytest.approx(v.aip**2 - eps * v.ai**2, rel=1e-12)
+
+
+def test_qi_neg_matches_mpmath_derivatives():
+    # Qi_{-n} = (-d/deps)^n Ai^2, differentiated numerically by mpmath.
+    for eps in (-5.0, 0.0, 2.5):
+        for n in range(13):
+            assert qi(-n, eps) == pytest.approx(oracles.qi_neg_mp(n, eps), rel=1e-12)
 
 
 def test_qi_recursion_residual():

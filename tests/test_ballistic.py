@@ -421,6 +421,21 @@ def test_tilt_profile_is_mean_of_pi_and_sigma():
     assert np.array_equal(v_tilt, (v_pi + v_sig) / 2.0)
 
 
+def test_pi_profile_matches_mpmath_closed_form():
+    # On the default detector plane r and z agree to about 8 digits; alpha_-
+    # = eps + bF (r - z) must keep full precision all the same.  Pixels near
+    # zeros of Ai'(alpha_-) are left out, where any argument error is
+    # amplified without bound.
+    grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 21, 21)
+    got = photodetachment_profile("pi", grid, E0, CTX).values
+    want = np.array(
+        [[oracles.pi_profile_mp(x, y, grid.z, E0, CTX) for x in grid.x] for y in grid.y]
+    )
+    keep = want >= 1e-3 * want.max()
+    assert keep.sum() > 300
+    assert np.allclose(got[keep], want[keep], rtol=1e-11, atol=0.0)
+
+
 def test_profile_exact_mode_far_agreement():
     # At the experimental geometry (zeta ~ 3.7e6) far-field and exact modes
     # agree to well below a percent.
