@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_hermite
 
-from .airyq import QArgs, q_scaled, q_table_scaled_grid, qi_scaled
+from .airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
 from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, green_swave
 from .errors import DomainError, RegimeError, StabilityWarning, UnsupportedOrderError
 from .harmonics import MultipoleIndex
@@ -54,6 +55,10 @@ __all__ = [
 
 #: Highest vortex count handled by the lattice beam (Q recursion depth).
 LATTICE_N_MAX = 40
+
+#: vortex_current_1m (m = 0) warns when its Qi bracket cancels more digits
+#: than this, estimated as log10(max |term| / |bracket|).
+J10_LOSS_DIGITS_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -167,16 +172,43 @@ def _warn_inside(src: GaussianSource, r) -> None:
         )
 
 
+def _beam_mantissa(weights: dict[MultipoleIndex, float], table, alpha, xi, ups, zeta_t):
+    """sum_w w psi_lm / [beta (bF)^3 Lambda(eps_t) e^logq] over a Q mantissa table.
+
+    psi_00   = -4 Q_1,
+    psi_10   =  4 sqrt(2) alpha [2 zeta_t Q_2 - 4 alpha^2 Q_1 + Q_0],
+    psi_1+-1 = -+ 8 alpha (xi +- i upsilon) Q_2.
+    The table and the coordinates may be floats or arrays.
+    """
+    total = 0.0
+    for idx, w in weights.items():
+        if idx.l == 0:
+            psi = -4.0 * table[1]
+        elif idx.m == 0:
+            bracket = 2.0 * zeta_t * table[2] - 4.0 * alpha**2 * table[1] + table[0]
+            psi = 4.0 * math.sqrt(2.0) * alpha * bracket
+        else:
+            psi = -idx.m * 8.0 * alpha * (xi + 1j * idx.m * ups) * table[2]
+        total = total + w * psi
+    return total
+
+
+def _beam_psi(weights, src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
+    _warn_inside(src, r)
+    sv = scaled_vars(r, E, ctx, src.width)
+    logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, sv.eps_t, ctx)
+    kmax = max(1 + idx.l for idx in weights)
+    table, logq = _q_table_scaled(kmax, QArgs(sv.rho_t, sv.zeta_t, sv.eps_t))
+    mant = _beam_mantissa(weights, table, sv.alpha, sv.xi, sv.upsilon, sv.zeta_t)
+    return ctx.beta * ctx.beta_f**3 * mant * math.exp(logl + logq)
+
+
 def beam_psi_00(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     """Beam wave function of the vortex-free Gaussian source.
 
     psi = -4 beta (beta F)^3 Lambda(eps_t) Q_1(rho_t, zeta_t; eps_t).
     """
-    _warn_inside(src, r)
-    sv = scaled_vars(r, E, ctx, src.width)
-    logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, sv.eps_t, ctx)
-    mant, logq = q_scaled(1, QArgs(sv.rho_t, sv.zeta_t, sv.eps_t))
-    return -4.0 * ctx.beta * ctx.beta_f**3 * mant * math.exp(logl + logq)
+    return _beam_psi({MultipoleIndex(0, 0): 1.0}, src, r, E, ctx)
 
 
 def beam_psi_1m(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
@@ -187,20 +219,14 @@ def beam_psi_1m(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> compl
     """
     if src.idx.l != 1:
         raise DomainError(f"beam_psi_1m requires an l = 1 source, got l={src.idx.l}")
-    _warn_inside(src, r)
-    sv = scaled_vars(r, E, ctx, src.width)
-    logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, sv.eps_t, ctx)
-    qa = QArgs(sv.rho_t, sv.zeta_t, sv.eps_t)
-    pref = ctx.beta * ctx.beta_f**3 * sv.alpha
-    if src.idx.m == 0:
-        q0m, logq = q_scaled(0, qa)
-        q1m, _ = q_scaled(1, qa)
-        q2m, _ = q_scaled(2, qa)
-        bracket = 2.0 * sv.zeta_t * q2m - 4.0 * sv.alpha**2 * q1m + q0m
-        return 4.0 * math.sqrt(2.0) * pref * bracket * math.exp(logl + logq)
-    q2m, logq = q_scaled(2, qa)
-    lateral = complex(sv.xi, sv.upsilon if src.idx.m > 0 else -sv.upsilon)
-    return -float(src.idx.m) * 8.0 * pref * lateral * q2m * math.exp(logl + logq)
+    return _beam_psi({src.idx: 1.0}, src, r, E, ctx)
+
+
+_PERP_WEIGHTS = {
+    MultipoleIndex(1, 1): 0.5,
+    MultipoleIndex(1, 0): math.sqrt(2.0) / 2.0,
+    MultipoleIndex(1, -1): 0.5,
+}
 
 
 def perp_vortex_source(src: GaussianSource) -> dict[MultipoleIndex, float]:
@@ -211,20 +237,12 @@ def perp_vortex_source(src: GaussianSource) -> dict[MultipoleIndex, float]:
     """
     if src.idx.l != 1:
         raise DomainError("perpendicular vortex requires an l = 1 source")
-    return {
-        MultipoleIndex(1, 1): 0.5,
-        MultipoleIndex(1, 0): math.sqrt(2.0) / 2.0,
-        MultipoleIndex(1, -1): 0.5,
-    }
+    return dict(_PERP_WEIGHTS)
 
 
 def beam_psi_perp(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     """Beam wave function of a vortex perpendicular to the force."""
-    total = 0.0 + 0.0j
-    for idx, w in perp_vortex_source(src).items():
-        comp = GaussianSource(src.n_atoms, src.rabi, src.width, idx)
-        total += w * beam_psi_1m(comp, r, E, ctx)
-    return total
+    return _beam_psi(perp_vortex_source(src), src, r, E, ctx)
 
 
 def gaussian_multipole_current(
@@ -289,7 +307,15 @@ def vortex_current_1m(
     m1, _ = qi_scaled(1, eps_t)
     m0, _ = qi_scaled(0, eps_t)
     mm1, _ = qi_scaled(-1, eps_t)
-    bracket = m2 + 8.0 * alpha**4 * m1 - 4.0 * alpha**2 * m0 + 0.5 * mm1
+    terms = (m2, 8.0 * alpha**4 * m1, -4.0 * alpha**2 * m0, 0.5 * mm1)
+    bracket = sum(terms)
+    loss = math.log10(max(map(abs, terms)) / abs(bracket)) if bracket else math.inf
+    if loss > J10_LOSS_DIGITS_MAX:
+        warnings.warn(
+            f"J_10 bracket cancels: about {loss:.1f} of 16 digits lost at eps_t={eps_t:.4g}",
+            StabilityWarning,
+            stacklevel=2,
+        )
     logmag = (
         math.log(32.0 / ctx.hbar * ctx.beta * ctx.beta_f**3 * alpha**2)
         + 2.0 * logl
@@ -382,11 +408,10 @@ def farfield_density(
             StabilityWarning,
             stacklevel=2,
         )
-    bf = ctx.beta_f
-    eps = ctx.eps(E)
-    zeta = bf * grid.z
-    values = np.empty((len(grid.y), len(grid.x)))
     if mode == "closed-form":
+        bf = ctx.beta_f
+        eps = ctx.eps(E)
+        zeta = bf * grid.z
         xi = bf * grid.x[None, :]
         ups = bf * grid.y[:, None]
         if orientation == "parallel":
@@ -408,30 +433,19 @@ def farfield_density(
             -(eps**2 / (4.0 * alpha**2) + 2.0 * alpha**2 * (xi**2 + ups**2) / (zeta + 2.0 * alpha**4))
         )
         return DetectorGrid(grid.z, grid.x, grid.y, values)
-    if mode not in ("virtual-source", "exact"):
+    if mode == "virtual-source":
+        src11 = GaussianSource(src.n_atoms, src.rabi, a, MultipoleIndex(1, 1))
+        return beam_density_grid(src11, grid, E, ctx, orientation)
+    if mode != "exact":
         raise DomainError(f"unknown mode {mode!r}")
-    if orientation == "parallel":
-        weights = {MultipoleIndex(1, 1): 1.0}
-    else:
-        weights = perp_vortex_source(
-            GaussianSource(src.n_atoms, src.rabi, a, MultipoleIndex(1, 1))
-        )
+    weights = {MultipoleIndex(1, 1): 1.0} if orientation == "parallel" else _PERP_WEIGHTS
+    values = np.empty((len(grid.y), len(grid.x)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         for iy, yv in enumerate(grid.y):
             for ix, xv in enumerate(grid.x):
                 r = (float(xv), float(yv), grid.z)
-                if mode == "virtual-source":
-                    psi = sum(
-                        w
-                        * beam_psi_1m(
-                            GaussianSource(src.n_atoms, src.rabi, a, idx), r, E, ctx
-                        )
-                        for idx, w in weights.items()
-                    )
-                else:
-                    psi = _gauss_hermite_psi(weights, src, r, E, ctx)
-                values[iy, ix] = abs(psi) ** 2
+                values[iy, ix] = abs(_gauss_hermite_psi(weights, src, r, E, ctx)) ** 2
     return DetectorGrid(grid.z, grid.x, grid.y, values)
 
 
@@ -458,29 +472,17 @@ def beam_density_grid(
     parallel vortex (l = 1 with m = +-1 or m = 0), and orientation
     "perpendicular" for the x-axis vortex superposition.
     """
+    if orientation == "perpendicular":
+        weights = _PERP_WEIGHTS
+    else:
+        weights = {src.idx if src.idx.l == 1 else MultipoleIndex(0, 0): 1.0}
     a = src.width
     alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
     eps_t = ctx.eps(E) + 4.0 * alpha**4
     logl = log_virtual_strength(src.n_atoms, src.rabi, a, eps_t, ctx)
-    pref = ctx.beta * ctx.beta_f**3
-    if orientation == "perpendicular" or src.idx.l == 1:
-        table, logq = q_table_scaled_grid(2, rho_t, zeta_t, eps_t)
-        bracket10 = (
-            2.0 * zeta_t * table[2] - 4.0 * alpha**2 * table[1] + table[0]
-        )
-        psi10 = 4.0 * math.sqrt(2.0) * pref * alpha * bracket10
-        if orientation == "perpendicular":
-            psi_p = -8.0 * pref * alpha * (xi + 1j * ups) * table[2]
-            psi_m = 8.0 * pref * alpha * (xi - 1j * ups) * table[2]
-            mant = 0.5 * (psi_p + math.sqrt(2.0) * psi10 + psi_m)
-        elif src.idx.m == 0:
-            mant = psi10
-        else:
-            lateral = xi + 1j * np.sign(src.idx.m) * ups
-            mant = -float(src.idx.m) * 8.0 * pref * alpha * lateral * table[2]
-    else:
-        table, logq = q_table_scaled_grid(1, rho_t, zeta_t, eps_t)
-        mant = -4.0 * pref * table[1]
+    kmax = max(1 + idx.l for idx in weights)
+    table, logq = q_table_scaled_grid(kmax, rho_t, zeta_t, eps_t)
+    mant = ctx.beta * ctx.beta_f**3 * _beam_mantissa(weights, table, alpha, xi, ups, zeta_t)
     dens = np.abs(mant) ** 2 * np.exp(2.0 * (logl + logq))
     return DetectorGrid(grid.z, grid.x, grid.y, dens)
 
@@ -492,38 +494,17 @@ def lattice_beam_grid(
 
     Per-m angular momentum components are evaluated over the whole grid and
     combined in log space with a streaming elementwise rescaling, keeping
-    memory linear in the grid size.
+    memory linear in the grid size.  Non-finite values are not masked: they
+    reach the caller as they arise.
     """
-    w = lattice_coeffs(latt)
-    a = latt.width
-    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
-    log_sum = _log_weight_norm(w, a)
-    u = xi + 1j * ups
-    absu = np.abs(u)
-    on_axis = absu == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log2au = np.where(on_axis, -np.inf, np.log(2.0 * alpha * absu))
-        phase_u = np.where(on_axis, 1.0 + 0.0j, u / np.where(on_axis, 1.0, absu))
-    lmax = np.full(u.shape, -np.inf)
-    acc = np.zeros(u.shape, dtype=complex)
-    for m, wm in enumerate(w):
-        if wm == 0.0:
-            continue
-        e_m = E + m * ctx.hbar * latt.rot
-        eps_tm = ctx.eps(e_m) + 4.0 * alpha**4
-        table, logq = q_table_scaled_grid(m + 1, rho_t, zeta_t, eps_tm)
-        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_tm, ctx)
-        const = math.log(abs(wm)) + m * math.log(a) - 0.5 * log_sum + logl
-        lm = const + m * log2au + logq
-        qm = np.where(on_axis & (m > 0), 0.0, np.nan_to_num(table[m + 1]))
-        cm = (wm / abs(wm)) * phase_u**m * qm * cmath.exp(-1j * e_m * t / ctx.hbar)
-        new_max = np.maximum(lmax, lm)
-        safe_max = np.where(np.isneginf(new_max), 0.0, new_max)
-        acc = acc * np.exp(lmax - safe_max) + cm * np.exp(lm - safe_max)
-        lmax = new_max
-    pref = 4.0 * ctx.beta * ctx.beta_f**3
-    dens = pref**2 * np.abs(acc) ** 2 * np.exp(2.0 * lmax)
-    return DetectorGrid(grid.z, grid.x, grid.y, dens)
+    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, latt.width)
+
+    def q_of(k, eps_t):
+        table, logq = q_table_scaled_grid(k, rho_t, zeta_t, eps_t)
+        return table[k], logq
+
+    psi = _lattice_psi(latt, xi, ups, t, E, ctx, q_of)
+    return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2)
 
 
 def triangular_vortex_positions(shells: int, spacing: float) -> tuple[complex, ...]:
@@ -584,6 +565,47 @@ def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
     )
 
 
+def _lattice_psi(latt: VortexLattice, xi, ups, t: float, E: float, ctx: PhysicalContext, q_of):
+    """Lattice beam wave function at lateral (xi, upsilon), floats or arrays.
+
+    Component m has magnitude |w_m| a^m Lambda(eps_tm) (2 alpha |u|)^m e^logq
+    (kept in log space) and phase (w_m / |w_m|) e^{i m phi_u} e^{-i e_m t / hbar}
+    times the Q_{m+1} mantissa; q_of(k, eps_t) returns (Q_k mantissa,
+    logscale) at the caller's points.  On the axis u = 0 every m > 0
+    component is exactly zero.  The components are summed with a running
+    elementwise maximum of their logs.
+    """
+    # Point evaluations use math: numpy calls on scalars cost several times more.
+    exp, maximum = (np.exp, np.maximum) if isinstance(xi, np.ndarray) else (math.exp, max)
+    w = lattice_coeffs(latt)
+    a = latt.width
+    alpha = ctx.beta_f * a
+    log_sum = _log_weight_norm(w, a)
+    u = xi + 1j * ups
+    absu = abs(u)
+    on_axis = absu == 0.0
+    phase_u = u / (absu + on_axis)  # 0 on the axis, so phase_u^m drops m > 0
+    with np.errstate(divide="ignore"):
+        log2au = np.log(2.0 * alpha * absu)  # -inf on the axis
+    # Start below every finite log: an axis pixel whose only components are
+    # m > 0 stays at this floor with a zero sum, instead of -inf - -inf = nan.
+    lmax, acc = -sys.float_info.max, 0.0
+    for m, wm in enumerate(w):
+        if wm == 0.0:
+            continue
+        e_m = E + m * ctx.hbar * latt.rot
+        eps_tm = ctx.eps(e_m) + 4.0 * alpha**4
+        qm, logq = q_of(m + 1, eps_tm)
+        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_tm, ctx)
+        const = math.log(abs(wm)) + m * math.log(a) - 0.5 * log_sum + logl
+        lm = const + (m * log2au if m else 0.0) + logq
+        cm = (wm / abs(wm)) * cmath.exp(-1j * e_m * t / ctx.hbar) * phase_u**m * qm
+        new_max = maximum(lmax, lm)
+        acc = acc * exp(lmax - new_max) + cm * exp(lm - new_max)
+        lmax = new_max
+    return -4.0 * ctx.beta * ctx.beta_f**3 * acc * exp(lmax)
+
+
 def lattice_beam(
     latt: VortexLattice, r, t: float, E: float, ctx: PhysicalContext
 ) -> complex:
@@ -594,38 +616,12 @@ def lattice_beam(
     combined in log space.  The density profile at time t equals the t = 0
     profile rotated by Omega_rot * t about the beam axis.
     """
-    w = lattice_coeffs(latt)
-    a = latt.width
-    alpha = ctx.beta_f * a
-    sv = scaled_vars(r, E, ctx, a)
-    log_sum = _log_weight_norm(w, a)
-    u = complex(sv.xi, sv.upsilon)
-    log2au = math.log(2.0 * alpha * abs(u)) if u != 0.0 else -math.inf
-    phase_u = u / abs(u) if u != 0.0 else 1.0
-    logs, mants = [], []
-    for m, wm in enumerate(w):
-        if wm == 0.0 or (u == 0.0 and m > 0):
-            continue
-        e_m = E + m * ctx.hbar * latt.rot
-        eps_tm = ctx.eps(e_m) + 4.0 * alpha**4
-        qa = QArgs(sv.rho_t, sv.zeta_t, eps_tm)
-        qm, logq = q_scaled(m + 1, qa)
-        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_tm, ctx)
-        logs.append(
-            math.log(abs(wm)) + m * math.log(a) - 0.5 * log_sum
-            + logl + m * log2au + logq
-        )
-        mants.append(
-            (wm / abs(wm))
-            * phase_u**m
-            * qm
-            * cmath.exp(-1j * e_m * t / ctx.hbar)
-        )
-    if not logs:
-        return 0.0 + 0.0j
-    lmax = max(logs)
-    acc = sum(mm * math.exp(lg - lmax) for lg, mm in zip(logs, mants))
-    return -4.0 * ctx.beta * ctx.beta_f**3 * acc * math.exp(lmax)
+    sv = scaled_vars(r, E, ctx, latt.width)
+
+    def q_of(k, eps_t):
+        return q_scaled(k, QArgs(sv.rho_t, sv.zeta_t, eps_t))
+
+    return complex(_lattice_psi(latt, sv.xi, sv.upsilon, t, E, ctx, q_of))
 
 
 def lattice_spectrum(

@@ -18,12 +18,12 @@ import scipy.special as sc
 
 from .airyq import QArgs, q, q_grad, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
-from .specfun import _double_factorial, airy_unrestricted
+from .specfun import _airy_ode_derivs, _double_factorial, airy_derivs_upto, airy_unrestricted
 from .harmonics import (
     MultipoleIndex,
     klm_eval,
     klm_grad,
-    klm_operator_on_airy,
+    klm_operator_on_airy_scaled,
     translation_coeff_t,
 )
 
@@ -177,30 +177,45 @@ def green_lm_grad(
     return pref * val, pref * grad
 
 
-def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
-    """Far-field (z -> infinity) form of G_lm; valid for alpha_+ << -1."""
-    r = np.asarray(r, dtype=float)
-    a = ctx.qargs(r, E)
-    ap = a.alpha_plus
-    if ap >= -ALPHA_THRESHOLD:
-        raise RegimeError(
-            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {ap:.3g}"
-        )
-    bf = ctx.beta_f
-    sa = math.sqrt(-ap)
-    v = airy_unrestricted(ap)
-    ci = complex(v.bi, v.ai)
-    kop = klm_operator_on_airy(idx, bf * r[0] / sa, bf * r[1] / sa, a.alpha_minus)
-    return (
-        -0.5
-        * ctx.beta
-        * (2.0 * bf) ** (idx.l + 3)
-        * 1j ** (idx.l + 3)
-        * ci
-        / sa
-        * (-1.0) ** idx.m
-        * kop
+def _far_amplitude(idx: MultipoleIndex, X, Y, derivs, bf: float):
+    """Far-field amplitude A_lm = (2bF)^l i^l (-1)^m K_lm(X, Y, i d/dalpha) Ai(alpha_-).
+
+    derivs is the table Ai^(0..l)(alpha_-); X = bF x / sqrt(-alpha_+) and
+    Y likewise.  Floats and arrays are both accepted.
+    """
+    kop = klm_operator_on_airy_scaled(idx, X, Y, derivs)
+    return (2.0 * bf) ** idx.l * 1j**idx.l * (-1.0) ** idx.m * kop
+
+
+def _far_current(amp_a, amp_b, ap, ctx: PhysicalContext):
+    """j_z = -beta (2bF)^5 / (4 pi hbar alpha_+) conj(A_a) A_b."""
+    return -ctx.beta * (2.0 * ctx.beta_f) ** 5 / (4.0 * math.pi * ctx.hbar * ap) * (
+        np.conj(amp_a) * amp_b
     )
+
+
+def _far_qargs(r, E: float, ctx: PhysicalContext) -> QArgs:
+    a = ctx.qargs(r, E)
+    if a.alpha_plus >= -ALPHA_THRESHOLD:
+        raise RegimeError(
+            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {a.alpha_plus:.3g}"
+        )
+    return a
+
+
+def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
+    """Far-field (z -> infinity) form of G_lm; valid for alpha_+ << -1.
+
+    G_lm = (i/2) beta (2bF)^3 Ci(alpha_+) / sqrt(-alpha_+) A_lm.
+    """
+    r = np.asarray(r, dtype=float)
+    a = _far_qargs(r, E, ctx)
+    bf = ctx.beta_f
+    sa = math.sqrt(-a.alpha_plus)
+    v = airy_unrestricted(a.alpha_plus)
+    derivs = airy_derivs_upto(idx.l, a.alpha_minus)
+    amp = _far_amplitude(idx, bf * r[0] / sa, bf * r[1] / sa, derivs, bf)
+    return 0.5j * ctx.beta * (2.0 * bf) ** 3 * complex(v.bi, v.ai) / sa * amp
 
 
 def scattering_wave(src: SourceSuperposition, r, ctx: PhysicalContext) -> complex:
@@ -228,38 +243,14 @@ def current_density_z_far(
 ) -> complex:
     """Far-field matrix element j^(z)_{lm,l'm'}(r, o; E)."""
     r = np.asarray(r, dtype=float)
-    a = ctx.qargs(r, E)
-    if a.alpha_plus >= -ALPHA_THRESHOLD:
-        raise RegimeError(
-            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {a.alpha_plus:.3g}"
-        )
-    return _current_z_far(idx_a, idx_b, r[0], r[1], a.alpha_minus, a.alpha_plus, ctx)
-
-
-def _current_z_far(
-    idx_a: MultipoleIndex,
-    idx_b: MultipoleIndex,
-    x: float,
-    y: float,
-    am: float,
-    ap: float,
-    ctx: PhysicalContext,
-) -> complex:
-    # j^(z)_{lm,l'm'} at lateral position (x, y) from precomputed alpha_-, alpha_+.
+    a = _far_qargs(r, E, ctx)
     bf = ctx.beta_f
-    sa = math.sqrt(-ap)
-    X, Y = bf * x / sa, bf * y / sa
-    ka = klm_operator_on_airy(idx_a, X, Y, am)
-    kb = klm_operator_on_airy(idx_b, X, Y, am)
-    return (
-        -ctx.beta
-        / (4.0 * math.pi * ctx.hbar * ap)
-        * (2.0 * bf) ** (idx_a.l + idx_b.l + 5)
-        * 1j ** (idx_b.l - idx_a.l)
-        * (-1.0) ** (idx_a.m + idx_b.m)
-        * np.conj(ka)
-        * kb
-    )
+    sa = math.sqrt(-a.alpha_plus)
+    X, Y = bf * r[0] / sa, bf * r[1] / sa
+    derivs = airy_derivs_upto(max(idx_a.l, idx_b.l), a.alpha_minus)
+    amp_a = _far_amplitude(idx_a, X, Y, derivs, bf)
+    amp_b = _far_amplitude(idx_b, X, Y, derivs, bf)
+    return _far_current(amp_a, amp_b, a.alpha_plus, ctx)
 
 
 def total_current_matrix(
@@ -399,7 +390,7 @@ def polarization_to_source(
 
 
 def _far_field_args(grid: DetectorGrid, E: float, ctx: PhysicalContext):
-    """Vectorized alpha_-, alpha_+ and x-mesh over a detector plane."""
+    """Vectorized x- and y-meshes, alpha_- and alpha_+ over a detector plane."""
     xx, yy = np.meshgrid(grid.x, grid.y)
     lat2 = xx**2 + yy**2
     rnorm = np.sqrt(lat2 + grid.z**2)
@@ -414,7 +405,7 @@ def _far_field_args(grid: DetectorGrid, E: float, ctx: PhysicalContext):
             "far-field profile invalid: alpha_+ reaches "
             f"{np.max(a_plus):.3g} >= -{ALPHA_THRESHOLD} at z={grid.z:g} m, E={E:g} J"
         )
-    return xx, a_minus, a_plus
+    return xx, yy, a_minus, a_plus
 
 
 def photodetachment_profile(
@@ -427,8 +418,10 @@ def photodetachment_profile(
 ) -> DetectorGrid:
     """Photocurrent density j_z on a detector plane for a p-wave source.
 
-    mode='far-field' uses the closed asymptotic forms (vectorized); for the
-    tilt45 preset this is pixelwise exactly the mean of the pi and sigma
+    mode='far-field' evaluates, for every polarization, the one asymptotic
+    form j_z = -beta (2bF)^5 / (4 pi hbar alpha_+) |sum_lm lambda_lm A_lm|^2
+    with A_lm the far-field amplitudes over one Airy table of the grid; the
+    tilt45 preset is pixelwise exactly the mean of the pi and sigma
     profiles.  mode='exact' differentiates the exact Green functions instead.
     """
     if mode == "exact":
@@ -440,44 +433,24 @@ def photodetachment_profile(
         return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=values)
     if mode != "far-field":
         raise DomainError(f"mode must be 'far-field' or 'exact', got {mode!r}")
-    beta, F, hbar = ctx.beta, ctx.force, ctx.hbar
-    scale = abs(C) ** 2
-    if isinstance(polarization, str) and polarization in _POLARIZATION_PRESETS:
-        xx, am, ap = _far_field_args(grid, E, ctx)
-        ai, aip, _, _ = sc.airy(am)
-        if polarization == "pi":
-            values = 24.0 * beta**8 * F**7 / (math.pi**2 * hbar * (-ap)) * aip**2
-        elif polarization == "sigma":
-            values = (
-                24.0 * beta**10 * F**9 / (math.pi**2 * hbar * ap**2) * xx**2 * ai**2
-            )
-        elif polarization == "circular":
-            values = (
-                12.0
-                * beta**8
-                * F**7
-                / (math.pi**2 * hbar * (-ap))
-                * (aip - ctx.beta_f * xx * ai / np.sqrt(-ap)) ** 2
-            )
-        else:  # tilt45: pixelwise mean of the pi and sigma profiles
-            v_pi = 24.0 * beta**8 * F**7 / (math.pi**2 * hbar * (-ap)) * aip**2
-            v_sig = 24.0 * beta**10 * F**9 / (math.pi**2 * hbar * ap**2) * xx**2 * ai**2
-            values = (v_pi + v_sig) / 2.0
-        return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=scale * values)
-    # General polarization vector: bilinear far-field current matrix.
-    src = polarization_to_source(polarization, C, E, ctx)
-    items = list(src.amplitudes.items())
-    _, am, ap = _far_field_args(grid, E, ctx)
-    values = np.empty((len(grid.y), len(grid.x)))
-    for iy, yv in enumerate(grid.y):
-        for ix, xv in enumerate(grid.x):
-            total = 0.0 + 0.0j
-            for idx_a, la in items:
-                for idx_b, lb in items:
-                    total += np.conj(la) * lb * _current_z_far(
-                        idx_a, idx_b, xv, yv, am[iy, ix], ap[iy, ix], ctx
-                    )
-            values[iy, ix] = total.real
+    xx, yy, am, ap = _far_field_args(grid, E, ctx)
+    ai, aip, _, _ = sc.airy(am)
+    derivs = _airy_ode_derivs(1, ai, aip, am)
+    bf = ctx.beta_f
+    sa = np.sqrt(-ap)
+    X, Y = bf * xx / sa, bf * yy / sa
+
+    def image(pol):
+        src = polarization_to_source(pol, C, E, ctx)
+        psi = sum(
+            lam * _far_amplitude(idx, X, Y, derivs, bf) for idx, lam in src.amplitudes.items()
+        )
+        return _far_current(psi, psi, ap, ctx).real
+
+    if isinstance(polarization, str) and polarization == "tilt45":
+        values = (image("pi") + image("sigma")) / 2.0
+    else:
+        values = image(polarization)
     return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=values)
 
 

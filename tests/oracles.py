@@ -149,3 +149,30 @@ def pi_profile_mp(x: float, y: float, z: float, E: float, ctx, dps: int = 40) ->
             24 * beta**8 * force**7 / (mp.pi**2 * hbar * (-a_plus))
             * mp.airyai(a_minus, 1) ** 2
         )
+
+
+def pwave_profile_mp(vec, x: float, y: float, z: float, E: float, ctx, dps: int = 40) -> float:
+    """Far-field photocurrent density of a p-wave source with polarization vec.
+
+    Evaluates 24 beta^8 F^7 / (pi^2 hbar (-alpha_+))
+    |e_z Ai'(alpha_-) + i (e_x X + e_y Y) Ai(alpha_-)|^2 with e = vec / |vec|,
+    X = bF x / sqrt(-alpha_+), Y = bF y / sqrt(-alpha_+) and alpha_-+ formed
+    in dps digits from the same inputs.  No solid-harmonic operators are
+    involved; pi, sigma and circular light are the special cases (0, 0, 1),
+    (1, 0, 0) and (i, 0, 1)/sqrt(2).
+    """
+    with mp.workdps(dps):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        beta, force, hbar = mp.mpf(ctx.beta), mp.mpf(ctx.force), mp.mpf(ctx.hbar)
+        bf, eps = mp.mpf(ctx.beta_f), mp.mpf(ctx.eps(E))
+        e = [mp.mpc(c) for c in vec]
+        norm = mp.sqrt(sum(abs(c) ** 2 for c in e))
+        ex, ey, ez = (c / norm for c in e)
+        r = mp.sqrt(x * x + y * y + z * z)
+        a_minus = eps - bf * z + bf * r
+        a_plus = eps - bf * z - bf * r
+        sa = mp.sqrt(-a_plus)
+        amp = ez * mp.airyai(a_minus, 1) + 1j * (ex * bf * x / sa + ey * bf * y / sa) * mp.airyai(
+            a_minus
+        )
+        return float(24 * beta**8 * force**7 / (mp.pi**2 * hbar * (-a_plus)) * abs(amp) ** 2)

@@ -291,6 +291,46 @@ def test_lattice_beam_grid_matches_pointwise():
             assert got[iy, ix] == pytest.approx(want, rel=1e-9)
 
 
+def test_lattice_beam_grid_on_axis():
+    # The centre pixel of an odd centered grid lies on the beam axis.  With a
+    # vortex at the origin every component there is m > 0 and the axis is
+    # dark; shifting the lattice leaves an m = 0 component and a bright axis.
+    E = _detuning_energy(5000.0)
+    grid = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 5, 5)
+    assert grid.x[2] == 0.0 and grid.y[2] == 0.0
+    centred = _small_lattice()
+    shifted = VortexLattice(
+        tuple(v + (3e-6 + 2e-6j) for v in centred.positions),
+        centred.rot, centred.width, N_ATOMS, RABI,
+    )
+    for latt in (centred, shifted):
+        got = lattice_beam_grid(latt, grid, 0.0, E, CTX).values
+        assert np.all(np.isfinite(got))
+        for iy, ix in ((2, 2), (2, 3), (1, 2), (0, 4)):
+            r = (float(grid.x[ix]), float(grid.y[iy]), grid.z)
+            want = abs(lattice_beam(latt, r, 0.0, E, CTX)) ** 2
+            assert got[iy, ix] == pytest.approx(want, rel=1e-9, abs=0.0)
+    axis = (0.0, 0.0, grid.z)
+    assert lattice_beam(centred, axis, 0.0, E, CTX) == 0.0
+    assert abs(lattice_beam(shifted, axis, 0.0, E, CTX)) > 0.0
+
+
+def test_j10_cancellation_warns():
+    # The J_10 bracket Qi_2 + 8 alpha^4 Qi_1 - 4 alpha^2 Qi_0 + Qi_-1 / 2
+    # cancels about 9 digits at zero detuning for a 2 um source, but only
+    # about 2 for a 0.5 um source.
+    src = GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 0))
+    with pytest.warns(StabilityWarning, match="J_10"):
+        vortex_current_1m(src, 0.0, CTX)
+    with pytest.warns(StabilityWarning, match="J_10"):
+        perp_vortex_current(GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)), 0.0, CTX)
+    small = GaussianSource(N_ATOMS, RABI, 0.5e-6, MultipoleIndex(1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        for dnu in np.linspace(-25e3, 25e3, 21):
+            vortex_current_1m(small, _detuning_energy(dnu), CTX)
+
+
 def test_virtual_strength_consistency():
     # Moderate alpha: finite strength, growing as the energy decreases.
     small = GaussianSource(N_ATOMS, RABI, 1.0 / CTX.beta_f)

@@ -436,6 +436,32 @@ def test_pi_profile_matches_mpmath_closed_form():
     assert np.allclose(got[keep], want[keep], rtol=1e-11, atol=0.0)
 
 
+def test_profile_matches_mpmath_pwave_form():
+    # Every polarization, presets and a complex vector alike, against the
+    # operator-free form |e_z Ai' + i (e_x X + e_y Y) Ai|^2 in mpmath.  For
+    # tilt45 the cross term vanishes (Ai, Ai' and X are real), so the mean of
+    # the pi and sigma images is this form too.
+    grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 15, 15)
+    s2 = 1.0 / math.sqrt(2.0)
+    for pol, vec in (
+        ("pi", (0.0, 0.0, 1.0)),
+        ("sigma", (1.0, 0.0, 0.0)),
+        ("circular", (1j * s2, 0.0, s2)),
+        ("tilt45", (s2, 0.0, s2)),
+        ((0.3 + 0.1j, -0.5j, 0.8), (0.3 + 0.1j, -0.5j, 0.8)),
+    ):
+        got = photodetachment_profile(pol, grid, E0, CTX).values
+        want = np.array(
+            [
+                [oracles.pwave_profile_mp(vec, x, y, grid.z, E0, CTX) for x in grid.x]
+                for y in grid.y
+            ]
+        )
+        keep = want >= 1e-3 * want.max()
+        assert keep.sum() > 50
+        assert np.allclose(got[keep], want[keep], rtol=1e-11, atol=0.0), pol
+
+
 def test_profile_exact_mode_far_agreement():
     # At the experimental geometry (zeta ~ 3.7e6) far-field and exact modes
     # agree to well below a percent.
