@@ -21,9 +21,10 @@ Evaluation strategy:
   from the seeds Qi_0 = Ai^2, Qi_{-1} = -2 Ai Ai', Qi_{-2} = 2 Ai'^2
   + 2 eps Ai^2.  Every Qi_{-n} = (-d/deps)^n Ai^2 comes from the same Leibniz
   rule over the Airy derivative table.  For eps > 0 the recursion cancels
-  catastrophically (the result is exponentially smaller than the terms), so
-  the same recursion is re-run in adaptive-precision arithmetic whenever the
-  estimated digit loss matters.
+  catastrophically, so at eps >= EPS0 every Qi_k with k >= 1/2 (half-integer k
+  too) is the positive Airy moment, evaluated by a float quadrature:
+      Qi_k = 2^((1-2k)/3) / (2 sqrt(pi) Gamma(k+1/2))
+             * int_0^inf tau^(k-1/2) Ai(2^(2/3) eps + tau) dtau.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -45,8 +44,11 @@ from .errors import (
 )
 from .specfun import (
     ScaledAiryValues,
+    _airy_moment_scaled,
     _airy_ode_derivs,
     _double_factorial,
+    airy_derivs_upto,
+    airy_integral,
     airy_scaled,
     airy_scaled_grid,
 )
@@ -56,9 +58,15 @@ Q_NEG_MAX = 12      # Q_{-k} zeta-derivatives
 Q_K_MAX = 42        # positive-index forward recursion depth
 QI_K_MIN, QI_K_MAX = -24, 60
 
+_SQRT_PI = math.sqrt(math.pi)
+_C = 2.0 ** (2.0 / 3.0)
+
 #: Below this radius the forward recursion for k >= 2 divides by rho^2 and
 #: sheds digits; the divergence itself is the physical source singularity.
 RHO_MIN = 1e-3
+
+#: Qi_k, k >= 1/2, is the Airy moment from this eps on; the recursion just below keeps 2e-12.
+EPS0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -244,56 +252,35 @@ def q_asym_origin(k: int, rho: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def _qi_from_airy(k: int, ai, aip, e):
-    """Qi_k from Ai and Ai' at eps = e, in the arithmetic of the arguments.
-
-    Qi_{-n} = (-d/deps)^n Ai^2 = (-1)^n sum_p C(n, p) Ai^(p) Ai^(n-p), with
-    the Ai derivatives closed by Ai'' = eps Ai; positive orders follow from
-    Qi_{-2} ... Qi_0 by the upward recursion.  The arguments may be floats
-    (scaled mantissas give the scaled result) or mpmath numbers.
-    """
-    d = _airy_ode_derivs(max(-k, 2), ai, aip, e)
-    if k <= 0:
-        return _leibniz((-k,), d, d)[0]
-    t = dict(zip((0, -1, -2), _leibniz(range(3), d, d)))
-    for j in range(k):
+def _qi_upward(t: dict, k, eps) -> dict:
+    """Extend t, Qi by order ending in three consecutive orders, up to order k."""
+    j = max(t)
+    while j < k:
         # (j + 1/2) Qi_{j+1} = 1/4 Qi_{j-2} - eps Qi_j
-        t[j + 1] = (0.25 * t[j - 2] - e * t[j]) / (j + 0.5)
-    return t[k]
+        t[j + 1] = (0.25 * t[j - 2] - eps * t[j]) / (j + 0.5)
+        j += 1
+    return t
 
 
-def _qi_loss_digits(k: int, eps: float) -> float:
-    """Rough decimal digits lost by the upward recursion to order k."""
-    if eps <= 0.0 or k <= 0:
-        return 0.0
-    per = 2.0 * eps**1.5
-    if per == 0.0:  # subnormal eps underflows
-        return 0.0
-    return sum(max(0.0, math.log10(per / (j + 0.5))) for j in range(k))
-
-
-@lru_cache(maxsize=100000)
-def _qi_scaled_mp(k: int, eps: float) -> tuple[float, float]:
-    """Adaptive-precision upward recursion; returns (mantissa, logscale)."""
-    dps = 25 + int(_qi_loss_digits(k, eps))
-    with mp.workdps(dps):
-        e = mp.mpf(eps)
-        val = _qi_from_airy(k, mp.airyai(e), mp.airyai(e, 1), e)
-        if val == 0:
-            return 0.0, 0.0
-        logscale = -2.0 * max(eps, 0.0) ** 1.5 * (2.0 / 3.0)
-        mant = val * mp.exp(-mp.mpf(logscale))
-        return float(mant), logscale
+def _qi_moment(k: float, eps: float) -> float:
+    """Qi_k e^{(4/3) eps^(3/2)} from the Airy moment, k >= 1/2, eps >= EPS0."""
+    pref = 2.0 ** ((1.0 - 2.0 * k) / 3.0) / (2.0 * _SQRT_PI * math.gamma(k + 0.5))
+    return pref * _airy_moment_scaled(k - 0.5, _C * eps)
 
 
 def qi_scaled(k: int, eps: float) -> tuple[float, float]:
-    """(mantissa, logscale) with Qi_k = mantissa * exp(logscale)."""
+    """(mantissa, logscale) with Qi_k = mantissa * exp(logscale), logscale the
+    rounded -(4/3) max(eps, 0)^(3/2) and the mantissa taken against the exact one."""
     if k < QI_K_MIN or k > QI_K_MAX:
         raise UnsupportedOrderError(f"need {QI_K_MIN} <= k <= {QI_K_MAX}, got {k}")
-    if _qi_loss_digits(k, eps) > 2.0:
-        return _qi_scaled_mp(k, float(eps))
+    if k >= 1 and eps >= EPS0:
+        return _qi_moment(k, eps), -(4.0 / 3.0) * eps**1.5
     v = airy_scaled(eps)
-    return _qi_from_airy(k, v.ai_m, v.aip_m, eps), -2.0 * v.s
+    d = _airy_ode_derivs(max(-k, 2), v.ai_m, v.aip_m, eps)
+    if k <= 0:
+        return _leibniz((-k,), d, d)[0], -2.0 * v.s
+    t = _qi_upward(dict(zip((0, -1, -2), _leibniz(range(3), d, d))), k, eps)
+    return t[k], -2.0 * v.s
 
 
 def qi(k: int, eps: float) -> float:
@@ -301,9 +288,6 @@ def qi(k: int, eps: float) -> float:
     m, s = qi_scaled(k, eps)
     return m * math.exp(s)
 
-
-_SQRT_PI = math.sqrt(math.pi)
-_C = 2.0 ** (2.0 / 3.0)
 
 #: Supported half-integer window (as twice the index: -5/2 ... 21/2).
 QI_HALF_MIN2, QI_HALF_MAX2 = -5, 21
@@ -314,7 +298,7 @@ def qi_half(index: float, eps: float) -> float:
 
     Qi_{1/2} = (1/(2 sqrt(pi))) [1/3 - Ai_1(2^(2/3) eps)]; lower indices by
     repeated -d/deps (closing on derivatives of Ai), higher indices by the
-    three-term recursion.
+    three-term recursion.  At eps >= EPS0 every index >= 1/2 is the Airy moment.
     """
     two = 2.0 * index
     if abs(two - round(two)) > 1e-12 or round(two) % 2 == 0:
@@ -324,8 +308,8 @@ def qi_half(index: float, eps: float) -> float:
         raise UnsupportedOrderError(
             f"half-integer index must lie in [{QI_HALF_MIN2}/2, {QI_HALF_MAX2}/2]"
         )
-    from .specfun import airy_derivs_upto, airy_integral
-
+    if two >= 1 and eps >= EPS0:
+        return _qi_moment(two / 2.0, eps) * math.exp(-(4.0 / 3.0) * eps**1.5)
     u = _C * eps
     if two <= 1:
         n = (1 - two) // 2  # Qi_{1/2 - n}
@@ -334,14 +318,8 @@ def qi_half(index: float, eps: float) -> float:
         return (-1.0) ** (n - 1) * _C**n * airy_derivs_upto(n - 1, u)[n - 1] / (
             2.0 * _SQRT_PI
         )
-    # Upward from the four seeds Qi_{-5/2} ... Qi_{1/2}.
-    t = {two0: qi_half(two0 / 2.0, eps) for two0 in (-5, -3, -1, 1)}
-    j2 = 1  # current top index, times two
-    while j2 < two:
-        kk = j2 / 2.0  # recursion instance (k + 1/2) Qi_{k+1} = 1/4 Qi_{k-2} - eps Qi_k
-        t[j2 + 2] = (0.25 * t[j2 - 4] - eps * t[j2]) / (kk + 0.5)
-        j2 += 2
-    return t[two]
+    seeds = {j - 2.5: qi_half(j - 2.5, eps) for j in range(4)}  # Qi_{-5/2} ... Qi_{1/2}
+    return _qi_upward(seeds, two / 2.0, eps)[two / 2.0]
 
 
 def qi_asym(k: int, eps: float, regime: str) -> float:

@@ -474,8 +474,10 @@ def beam_density_grid(
     """
     if orientation == "perpendicular":
         weights = _PERP_WEIGHTS
+    elif src.idx.l > 1:
+        raise DomainError(f"beam_density_grid requires l <= 1, got l={src.idx.l}")
     else:
-        weights = {src.idx if src.idx.l == 1 else MultipoleIndex(0, 0): 1.0}
+        weights = {src.idx: 1.0}
     a = src.width
     alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
     eps_t = ctx.eps(E) + 4.0 * alpha**4

@@ -250,6 +250,24 @@ def test_qi_matches_high_precision_on_lossy_path():
         assert qi(k, eps) == pytest.approx(oracles.qi_mp(k, eps), rel=1e-10)
 
 
+# eps grid of the adaptive-oracle check: both sides of EPS0 = 1, the
+# perpendicular-vortex eps_t ~ 490 and the lattice's eps_t ~ 1.9e4.
+QI_ORACLE_EPS = (
+    1e-6, 0.05, 0.2, 0.5, 0.8, 0.91, 0.99, 0.999999, 1.0, 1.05, 1.2, 1.5, 1.78,
+    2.0, 3.0, 5.0, 9.0, 20.0, 60.0, 150.0, 490.0, 1.2e3, 5e3, 1.9e4, 2e4,
+)
+
+
+def test_qi_matches_adaptive_precision_oracle():
+    # Every order the spectra use, through EPS0, to the lattice's eps_t; the
+    # mantissas compare because both take them against exp(-(4/3) eps^(3/2)).
+    for eps in QI_ORACLE_EPS:
+        for k in range(1, QI_K_MAX + 1):
+            m, s = qi_scaled(k, eps)
+            assert s == -(4.0 / 3.0) * eps**1.5
+            assert m == pytest.approx(oracles.qi_scaled_mp(k, eps), rel=1e-11, abs=0.0), (k, eps)
+
+
 def test_qi_scaled_consistency():
     m, s = qi_scaled(3, 9.0)
     assert s < 0.0
@@ -323,6 +341,15 @@ def test_qi_half_recursion_residual():
         - 0.25 * qi_half(k - 2.0, eps)
     )
     assert abs(resid) <= 1e-12
+
+
+def test_qi_half_matches_quadrature_oracle():
+    # The upward half-integer recursion cancels at eps > 0 (5e-4 off at
+    # (1/2, 2), 2e11 at (21/2, 4.6)); the Airy moment must not.
+    for eps in (1.0, 2.0, 3.0, 4.6, 10.0):
+        for index in (0.5, 1.5, 6.5, 10.5):
+            want = oracles.qi_quad_mp(index, eps)
+            assert qi_half(index, eps) == pytest.approx(want, rel=1e-11, abs=0.0), (index, eps)
 
 
 def test_qi_half_errors():

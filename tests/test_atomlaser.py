@@ -192,6 +192,13 @@ def test_beam_density_grid_matches_pointwise():
                 assert got[iy, ix] == pytest.approx(want, rel=1e-10)
 
 
+def test_beam_density_grid_rejects_l2_source():
+    grid = DetectorGrid.centered(1e-3, 30e-6, 30e-6, 5, 5)
+    src = GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(2, 1))
+    with pytest.raises(DomainError):
+        beam_density_grid(src, grid, 0.0, CTX)
+
+
 # ----------------------------------------------------------------- lattices
 
 

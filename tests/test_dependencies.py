@@ -1,4 +1,4 @@
-"""Runtime dependencies: importing and first use pull in no symbolic algebra."""
+"""Runtime dependencies: importing and first use pull in neither sympy nor mpmath."""
 
 import os
 import subprocess
@@ -25,15 +25,37 @@ print("sympy" in sys.modules)
 """
 
 
-def test_first_use_does_not_import_sympy():
+# Qi at eps > 0 on the orders that used to need extended precision, and
+# half-integer Qi above EPS0; prints whether mpmath got imported.
+QI_POSITIVE_EPS = """
+import sys
+
+from ballisticwaves import airyq
+
+airyq.qi(10, 4.0)
+airyq.qi(38, 1.9e4)
+airyq.qi_half(1.5, 3.0)
+print("mpmath" in sys.modules)
+"""
+
+
+def _run_fresh(code: str) -> str:
     src = str(Path(ballisticwaves.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", FIRST_USE],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_first_use_does_not_import_sympy():
+    assert _run_fresh(FIRST_USE) == "False"
+
+
+def test_qi_at_positive_eps_does_not_import_mpmath():
+    assert _run_fresh(QI_POSITIVE_EPS) == "False"

@@ -138,6 +138,12 @@ def test_airy_integral():
     assert d == pytest.approx(airy(1.1).ai, rel=1e-5)
 
 
+def test_airy_integral_tail_matches_mpmath():
+    # scipy's itairy returns -2.29 at x = 9.25 and 2.62 at 9.0.
+    for x in (5.0, 7.5, 8.5, 9.0, 9.25, 12.0):
+        assert airy_integral(x) == pytest.approx(oracles.airy_integral_mp(x), rel=1e-14)
+
+
 def test_airy_zeros():
     assert airy_zero(1) == pytest.approx(-2.33810741045977, rel=1e-12)
     assert airy_prime_zero(1) == pytest.approx(-1.01879297164747, rel=1e-12)
