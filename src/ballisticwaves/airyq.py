@@ -43,6 +43,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .specfun import (
+    _SQRT_PI,
     ScaledAiryValues,
     _airy_moment_scaled,
     _airy_ode_derivs,
@@ -58,7 +59,6 @@ Q_NEG_MAX = 12      # Q_{-k} zeta-derivatives
 Q_K_MAX = 42        # positive-index forward recursion depth
 QI_K_MIN, QI_K_MAX = -24, 60
 
-_SQRT_PI = math.sqrt(math.pi)
 _C = 2.0 ** (2.0 / 3.0)
 
 #: Below this radius the forward recursion for k >= 2 divides by rho^2 and
@@ -276,15 +276,18 @@ def qi_scaled(k: int, eps: float) -> tuple[float, float]:
     if k >= 1 and eps >= EPS0:
         return _qi_moment(k, eps), -(4.0 / 3.0) * eps**1.5
     v = airy_scaled(eps)
+    # Not -2 v.s: sums of mantissas over k (the J_10 bracket) need the moment
+    # path's logscale, and from x = 15 on airy_scaled rounds s as the grids do.
+    logscale = -(4.0 / 3.0) * eps**1.5 if eps > 0.0 else -0.0
     d = _airy_ode_derivs(max(-k, 2), v.ai_m, v.aip_m, eps)
     if k <= 0:
-        return _leibniz((-k,), d, d)[0], -2.0 * v.s
+        return _leibniz((-k,), d, d)[0], logscale
     t = _qi_upward(dict(zip((0, -1, -2), _leibniz(range(3), d, d))), k, eps)
-    return t[k], -2.0 * v.s
+    return t[k], logscale
 
 
 def qi(k: int, eps: float) -> float:
-    """Qi_k(eps) = lim_{rho,zeta -> 0} Im Q_k, for -12 <= k <= 60."""
+    """Qi_k(eps) = lim_{rho,zeta -> 0} Im Q_k, for -24 <= k <= 60."""
     m, s = qi_scaled(k, eps)
     return m * math.exp(s)
 

@@ -450,13 +450,17 @@ def farfield_density(
 
 
 def _grid_scaled_vars(grid: DetectorGrid, ctx: PhysicalContext, a: float):
+    """alpha, xi, upsilon, zeta_t and the distinct rho_t with the inverse index
+    that scatters them back to the pixels: on a detector plane zeta_t is one
+    number, so every Q table depends on rho_t alone and is built once per radius."""
     bf = ctx.beta_f
     alpha = bf * a
     xi = bf * grid.x[None, :] + np.zeros((len(grid.y), 1))
     ups = bf * grid.y[:, None] + np.zeros((1, len(grid.x)))
     zeta_t = bf * grid.z + 2.0 * alpha**4
     rho_t = np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
-    return alpha, xi, ups, zeta_t, rho_t
+    rho_u, inv = np.unique(rho_t, return_inverse=True)
+    return alpha, xi, ups, zeta_t, rho_u, inv.reshape(rho_t.shape)
 
 
 def beam_density_grid(
@@ -479,11 +483,12 @@ def beam_density_grid(
     else:
         weights = {src.idx: 1.0}
     a = src.width
-    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
+    alpha, xi, ups, zeta_t, rho_u, inv = _grid_scaled_vars(grid, ctx, a)
     eps_t = ctx.eps(E) + 4.0 * alpha**4
     logl = log_virtual_strength(src.n_atoms, src.rabi, a, eps_t, ctx)
     kmax = max(1 + idx.l for idx in weights)
-    table, logq = q_table_scaled_grid(kmax, rho_t, zeta_t, eps_t)
+    table, logq = q_table_scaled_grid(kmax, rho_u, zeta_t, eps_t)
+    table, logq = {k: table[k][inv] for k in range(kmax + 1)}, logq[inv]
     mant = ctx.beta * ctx.beta_f**3 * _beam_mantissa(weights, table, alpha, xi, ups, zeta_t)
     dens = np.abs(mant) ** 2 * np.exp(2.0 * (logl + logq))
     return DetectorGrid(grid.z, grid.x, grid.y, dens)
@@ -494,16 +499,16 @@ def lattice_beam_grid(
 ) -> DetectorGrid:
     """Beam density of the rotating lattice on a detector plane (vectorized).
 
-    Per-m angular momentum components are evaluated over the whole grid and
-    combined in log space with a streaming elementwise rescaling, keeping
-    memory linear in the grid size.  Non-finite values are not masked: they
-    reach the caller as they arise.
+    Per-m angular momentum components are evaluated over the whole grid, each
+    from one Q table on the distinct radii, and combined in log space with a
+    streaming elementwise rescaling, keeping memory linear in the grid size.
+    Non-finite values are not masked: they reach the caller as they arise.
     """
-    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, latt.width)
+    alpha, xi, ups, zeta_t, rho_u, inv = _grid_scaled_vars(grid, ctx, latt.width)
 
     def q_of(k, eps_t):
-        table, logq = q_table_scaled_grid(k, rho_t, zeta_t, eps_t)
-        return table[k], logq
+        table, logq = q_table_scaled_grid(k, rho_u, zeta_t, eps_t)
+        return table[k][inv], logq[inv]
 
     psi = _lattice_psi(latt, xi, ups, t, E, ctx, q_of)
     return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sc
 
 from .errors import DomainError, SingularityError
@@ -117,6 +116,10 @@ def extended_source_strength(
     reducing at threshold (E = 0) to 4 pi gamma_lm / (2l+1)!! with
     gamma_lm = integral R^{2l+2} sigma_lm(R) dR.
     """
+    # Imported here: scipy.integrate (with scipy.optimize and scipy.sparse.linalg)
+    # costs about 0.35 s, and nothing else in the package uses it.
+    import scipy.integrate
+
     l = profile.idx.l
     radii = np.array([r for r, _ in profile.samples])
     vals = np.array([s for _, s in profile.samples])

@@ -22,14 +22,21 @@ from scipy.integrate import IntegrationWarning, quad
 RAY_ANGLE = math.pi / 8.0
 
 
-def airy_mp(x: float, dps: int = 30):
-    """(Ai, Ai', Bi, Bi') at x via mpmath with dps decimal digits."""
+def airy_mp(x: float, dps: int = 30, scaled: bool = False):
+    """(Ai, Ai', Bi, Bi') at x via mpmath with dps decimal digits.
+
+    scaled=True returns, for x > 0, Ai and Ai' times e^s and Bi and Bi' times
+    e^-s with the exact s = (2/3) x^(3/2) (the specfun.ScaledAiryValues
+    mantissas); for x <= 0 the values are unscaled either way.
+    """
     with mp.workdps(dps):
+        x = mp.mpf(x)
+        e = mp.exp(mp.mpf(2) / 3 * x**1.5) if scaled and x > 0 else mp.mpf(1)
         return (
-            float(mp.airyai(x)),
-            float(mp.airyai(x, 1)),
-            float(mp.airybi(x)),
-            float(mp.airybi(x, 1)),
+            float(mp.airyai(x) * e),
+            float(mp.airyai(x, 1) * e),
+            float(mp.airybi(x) / e),
+            float(mp.airybi(x, 1) / e),
         )
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from ballisticwaves import atomlaser
+from ballisticwaves.airyq import q_table_scaled_grid
 from ballisticwaves.atomlaser import (
     LATTICE_N_MAX,
     GaussianSource,
@@ -320,6 +322,78 @@ def test_lattice_beam_grid_on_axis():
     axis = (0.0, 0.0, grid.z)
     assert lattice_beam(centred, axis, 0.0, E, CTX) == 0.0
     assert abs(lattice_beam(shifted, axis, 0.0, E, CTX)) > 0.0
+
+
+def _per_pixel_vars(grid, a):
+    # The shifted variables of every pixel, rho_t kept per pixel (no np.unique).
+    bf = CTX.beta_f
+    alpha = bf * a
+    xi = bf * grid.x[None, :] + np.zeros((len(grid.y), 1))
+    ups = bf * grid.y[:, None] + np.zeros((1, len(grid.x)))
+    zeta_t = bf * grid.z + 2.0 * alpha**4
+    return alpha, xi, ups, zeta_t, np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
+
+
+def _equality_grids():
+    centred = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 65, 65)
+    shifted = DetectorGrid(177e-6, np.linspace(-13e-6, 41e-6, 65), np.linspace(-7e-6, 29e-6, 40))
+    return centred, shifted
+
+
+def test_detector_grids_built_per_radius_equal_per_pixel_tables():
+    # One Q table on the distinct radii, scattered back, must give exactly the
+    # image whose tables are built on the full per-pixel rho_t.
+    E = _detuning_energy(4000.0)
+    sources = [
+        (GaussianSource(N_ATOMS, RABI, A2), None, {MultipoleIndex(0, 0): 1.0}),
+        (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)), None,
+         {MultipoleIndex(1, 1): 1.0}),
+        (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, -1)), None,
+         {MultipoleIndex(1, -1): 1.0}),
+        (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)), "perpendicular",
+         perp_vortex_source(GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)))),
+    ]
+    latt = _small_lattice(n_shells=2)
+    for grid in _equality_grids():
+        for src, orientation, weights in sources:
+            alpha, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, src.width)
+            eps_t = CTX.eps(E) + 4.0 * alpha**4
+            logl = atomlaser.log_virtual_strength(src.n_atoms, src.rabi, src.width, eps_t, CTX)
+            table, logq = q_table_scaled_grid(2, rho_t, zeta_t, eps_t)
+            mant = CTX.beta * CTX.beta_f**3 * atomlaser._beam_mantissa(
+                weights, table, alpha, xi, ups, zeta_t
+            )
+            want = np.abs(mant) ** 2 * np.exp(2.0 * (logl + logq))
+            got = beam_density_grid(src, grid, E, CTX, orientation).values
+            assert np.array_equal(got, want)
+
+        _, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, latt.width)
+
+        def q_of(k, eps_t):
+            table, logq = q_table_scaled_grid(k, rho_t, zeta_t, eps_t)
+            return table[k], logq
+
+        want = np.abs(atomlaser._lattice_psi(latt, xi, ups, 0.3e-3, E, CTX, q_of)) ** 2
+        got = lattice_beam_grid(latt, grid, 0.3e-3, E, CTX).values
+        assert np.array_equal(got, want)
+
+
+def test_lattice_beam_grid_matches_scalar_everywhere():
+    # The grid takes |x| >= 15 Airy values from the asymptotic series, the
+    # scalar lattice_beam from scipy: an independent check of every pixel.  At
+    # alpha_- ~ 1.9e4 one ulp of the exponent (2/3) x^(3/2) is 2e-10 of the
+    # density, so this also needs both paths to round that exponent alike.
+    latt = _small_lattice(n_shells=2)
+    E = _detuning_energy(5000.0)
+    grid = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 33, 33)
+    got = lattice_beam_grid(latt, grid, 0.2e-3, E, CTX).values
+    want = np.array([
+        [abs(lattice_beam(latt, (float(x), float(y), grid.z), 0.2e-3, E, CTX)) ** 2
+         for x in grid.x]
+        for y in grid.y
+    ])
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-11 * want.max()
 
 
 def test_j10_cancellation_warns():

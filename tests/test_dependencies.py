@@ -1,4 +1,5 @@
-"""Runtime dependencies: importing and first use pull in neither sympy nor mpmath."""
+"""Runtime dependencies: importing and first use pull in neither sympy nor mpmath,
+and importing the package leaves scipy.integrate unloaded."""
 
 import os
 import subprocess
@@ -39,6 +40,16 @@ print("mpmath" in sys.modules)
 """
 
 
+# scipy.integrate (with scipy.optimize) serves only extended_source_strength.
+IMPORT_ONLY = """
+import sys
+
+import ballisticwaves
+
+print("scipy.integrate" in sys.modules)
+"""
+
+
 def _run_fresh(code: str) -> str:
     src = str(Path(ballisticwaves.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -59,3 +70,7 @@ def test_first_use_does_not_import_sympy():
 
 def test_qi_at_positive_eps_does_not_import_mpmath():
     assert _run_fresh(QI_POSITIVE_EPS) == "False"
+
+
+def test_import_does_not_load_scipy_integrate():
+    assert _run_fresh(IMPORT_ONLY) == "False"

@@ -69,6 +69,41 @@ def test_airy_scaled_grid_matches_scalar():
         assert s[i] == pytest.approx(v.s, rel=1e-14, abs=0.0)
 
 
+def _airy_grid_errors(x):
+    # Largest error of airy_scaled_grid's (Ai, Ai', Bi, Bi') at each x against
+    # 40-digit mpmath: relative to the value (scaled mantissas) for x > 0, and
+    # relative to the modulus |x|^(-+1/4) / sqrt(pi) for x < 0.
+    got = np.array(airy_scaled_grid(np.asarray(x))[:4]).T
+    errs = []
+    for xv, row in zip(x, got):
+        want = np.array(oracles.airy_mp(xv, dps=40, scaled=True))
+        if xv > 0.0:
+            scale = np.abs(want)
+        else:
+            q = abs(xv) ** 0.25 / math.sqrt(math.pi)
+            scale = np.array([1.0 / q, q, 1.0 / q, q])
+        errs.append(np.max(np.abs(row - want) / scale))
+    return np.array(errs)
+
+
+def test_airy_scaled_grid_large_argument_matches_mpmath():
+    # |x| >= 15 takes the DLMF 9.7 asymptotic series instead of scipy.
+    x = np.geomspace(15.0, 1e4, 41)
+    assert np.max(_airy_grid_errors(x)) <= 1e-13
+    # For x < 0 the phase zeta = (2/3)|x|^(3/2) is rounded to double before
+    # its sine and cosine are taken, which costs up to about 2^-52 zeta in
+    # the modulus: 1.5e-10 at x = -1e4, on scipy's kernel as on the series.
+    zeta = (2.0 / 3.0) * x**1.5
+    assert np.all(_airy_grid_errors(-x) <= 1e-13 + 4e-16 * zeta)
+
+
+def test_airy_scaled_grid_is_seamless_at_the_series_switch():
+    # Just inside |x| = 15 scipy answers, just outside the series does.
+    x = np.array([15.0 - 1e-9, 15.0 + 1e-9, -15.0 + 1e-9, -15.0 - 1e-9])
+    zeta = (2.0 / 3.0) * np.abs(x) ** 1.5
+    assert np.all(_airy_grid_errors(x) <= 1e-13 + 4e-16 * zeta * (x < 0.0))
+
+
 def test_airy_domain_errors():
     with pytest.raises(DomainError):
         airy(250.0)
