@@ -194,13 +194,22 @@ def _far_current(amp_a, amp_b, ap, ctx: PhysicalContext):
     )
 
 
-def _far_qargs(r, E: float, ctx: PhysicalContext) -> QArgs:
-    a = ctx.qargs(r, E)
-    if a.alpha_plus >= -ALPHA_THRESHOLD:
+def _far_alphas(x, y, z: float, E: float, ctx: PhysicalContext):
+    """alpha_- and alpha_+ at lateral offsets (x, y) on the plane z; floats or arrays."""
+    lat2 = x**2 + y**2
+    rnorm = np.sqrt(lat2 + z**2)
+    bf = ctx.beta_f
+    eps = ctx.eps(E)
+    # For z > 0, r - z = (x^2 + y^2) / (r + z): on a detector plane r and z
+    # agree to about 8 digits, which the plain difference would lose.
+    a_minus = eps + bf * (lat2 / (rnorm + z) if z > 0.0 else rnorm - z)
+    a_plus = eps - bf * z - bf * rnorm
+    if np.max(a_plus) >= -ALPHA_THRESHOLD:
         raise RegimeError(
-            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, got {a.alpha_plus:.3g}"
+            f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, but alpha_+ reaches "
+            f"{np.max(a_plus):.3g} at z={z:g} m, E={E:g} J"
         )
-    return a
+    return a_minus, a_plus
 
 
 def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
@@ -209,11 +218,11 @@ def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> comp
     G_lm = (i/2) beta (2bF)^3 Ci(alpha_+) / sqrt(-alpha_+) A_lm.
     """
     r = np.asarray(r, dtype=float)
-    a = _far_qargs(r, E, ctx)
+    am, ap = _far_alphas(r[0], r[1], r[2], E, ctx)
     bf = ctx.beta_f
-    sa = math.sqrt(-a.alpha_plus)
-    v = airy_unrestricted(a.alpha_plus)
-    derivs = airy_derivs_upto(idx.l, a.alpha_minus)
+    sa = math.sqrt(-ap)
+    v = airy_unrestricted(ap)
+    derivs = airy_derivs_upto(idx.l, am)
     amp = _far_amplitude(idx, bf * r[0] / sa, bf * r[1] / sa, derivs, bf)
     return 0.5j * ctx.beta * (2.0 * bf) ** 3 * complex(v.bi, v.ai) / sa * amp
 
@@ -243,14 +252,14 @@ def current_density_z_far(
 ) -> complex:
     """Far-field matrix element j^(z)_{lm,l'm'}(r, o; E)."""
     r = np.asarray(r, dtype=float)
-    a = _far_qargs(r, E, ctx)
+    am, ap = _far_alphas(r[0], r[1], r[2], E, ctx)
     bf = ctx.beta_f
-    sa = math.sqrt(-a.alpha_plus)
+    sa = math.sqrt(-ap)
     X, Y = bf * r[0] / sa, bf * r[1] / sa
-    derivs = airy_derivs_upto(max(idx_a.l, idx_b.l), a.alpha_minus)
+    derivs = airy_derivs_upto(max(idx_a.l, idx_b.l), am)
     amp_a = _far_amplitude(idx_a, X, Y, derivs, bf)
     amp_b = _far_amplitude(idx_b, X, Y, derivs, bf)
-    return _far_current(amp_a, amp_b, a.alpha_plus, ctx)
+    return _far_current(amp_a, amp_b, ap, ctx)
 
 
 def total_current_matrix(
@@ -413,20 +422,7 @@ def polarization_to_source(
 def _far_field_args(grid: DetectorGrid, E: float, ctx: PhysicalContext):
     """Vectorized x- and y-meshes, alpha_- and alpha_+ over a detector plane."""
     xx, yy = np.meshgrid(grid.x, grid.y)
-    lat2 = xx**2 + yy**2
-    rnorm = np.sqrt(lat2 + grid.z**2)
-    bf = ctx.beta_f
-    eps = ctx.eps(E)
-    # For z > 0, r - z = (x^2 + y^2) / (r + z): on a detector plane r and z
-    # agree to about 8 digits, which the plain difference would lose.
-    a_minus = eps + bf * (lat2 / (rnorm + grid.z) if grid.z > 0.0 else rnorm - grid.z)
-    a_plus = eps - bf * grid.z - bf * rnorm
-    if np.max(a_plus) >= -ALPHA_THRESHOLD:
-        raise RegimeError(
-            "far-field profile invalid: alpha_+ reaches "
-            f"{np.max(a_plus):.3g} >= -{ALPHA_THRESHOLD} at z={grid.z:g} m, E={E:g} J"
-        )
-    return xx, yy, a_minus, a_plus
+    return (xx, yy, *_far_alphas(xx, yy, grid.z, E, ctx))
 
 
 def photodetachment_profile(

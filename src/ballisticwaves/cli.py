@@ -1,9 +1,17 @@
 """Command-line scenario runner producing reproducible flat-file figures.
 
-Each subcommand evaluates a library scenario onto CSV (fixed 17-significant-
-digit scientific notation), 16-bit PGM images (normalized to the per-image
-maximum, which is recorded in the metadata), and a JSON metadata file that
-holds every input needed to re-run the scenario.
+Each subcommand evaluates a library scenario onto CSV, 16-bit PGM images
+(normalized to the per-image maximum, which is recorded in the metadata),
+and a JSON metadata file that holds every input needed to re-run the
+scenario plus ``"timings": {"compute_s", "write_s"}`` (wall seconds of the
+evaluation and of writing the CSV/PGM files).
+
+CSV contract: every number is written as ``"%.16e"`` (17 significant
+digits, so it parses back to the same float64 bit for bit), values are
+joined by ``,`` and each row ends with ``\n``.  Grid CSVs start with a
+``#`` description line and the ``# x:`` and ``# y:`` axis lines, then one
+row per y; spectrum CSVs start with a column-name header.  A non-finite
+value is never written: the command exits with code 4 instead.
 
 Exit codes: 0 success, 2 configuration error, 3 regime error, 4 numerical
 stability error.
@@ -16,6 +24,7 @@ import json
 import math
 import pathlib
 import sys
+import time
 
 import click
 import numpy as np
@@ -100,23 +109,154 @@ def _apply_config(ctx: click.Context, config: str | None, params: dict) -> dict:
     return out
 
 
+# --------------------------------------------------------------------------
+# CSV numbers: "%.16e" for a whole array at once.
+#
+# A value |v| in [1e-280, 1e280] with decimal exponent e has the 17 digits
+# round(|v| 10^(16-e)).  The product is formed in double-double: 10^(16-e)
+# is a (hi, lo) pair exact to 2^-106, |v| hi is split exactly by Dekker's
+# two-product, so the fractional part of the scaled value is known to about
+# 1e-15 of the last digit and rounding half up is exact except near a tie.
+# Zeros, cells outside that range and cells within 1e-6 of a tie (where
+# "%.16e" rounds half to even on the exact binary value) take their digits
+# from "%.16e" itself.  Both feed one byte layout.
+# --------------------------------------------------------------------------
+
+#: Cells encoded per block; bounds the working arrays to about 2 MB.
+_BLOCK = 8192
+
+#: Decimal exponents e the 10^(16-e) table covers: |v| in [1e-280, 1e280], one step beyond.
+_E_MIN, _E_MAX = -281, 281
+
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
+
+
+@functools.cache
+def _pow10_table():
+    """10^(16-e) as hi + lo with Dekker halves of hi, and the 4-digit ASCII table."""
+    hi, lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        k = 16 - e
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            den10 = 10**-k
+            h = 1 / den10
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * den10) / (den * den10))
+    hi, lo = np.array(hi), np.array(lo)
+    t = _SPLIT * hi
+    hi_h = t - (t - hi)
+    quads = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), dtype=np.uint8)
+    return hi, lo, hi_h, hi - hi_h, quads.reshape(10000, 4)
+
+
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """Integer part and fraction of a 10^(16-e), e = i + _E_MIN."""
+    hi, lo, hi_h, hi_l, _ = _pow10_table()
+    p = a * hi[i]
+    t = _SPLIT * a
+    a_h = t - (t - a)
+    a_l = a - a_h
+    b_h, b_l = hi_h[i], hi_l[i]
+    tail = (((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l) + a * lo[i]
+    floor = np.floor(tail)
+    return p.astype(np.int64) + floor.astype(np.int64), tail - floor
+
+
+def _csv_block(v: np.ndarray, ncols: int, start: int) -> bytes:
+    """Cells v (flat indices start...) as "%.16e", each followed by , or a newline."""
+    quads = _pow10_table()[4]
+    a = np.abs(v)
+    slow = ~((a >= 1e-280) & (a <= 1e280))
+    a[slow] = 1.0
+    i = np.floor(np.log10(a)).astype(np.int64) - _E_MIN
+    n, frac = _scaled(a, i)
+    # floor(log10) can miss by one next to a power of ten.
+    off = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        i[redo] += off[redo]
+        n[redo], frac[redo] = _scaled(a[redo], i[redo])
+    digits = n + (frac >= 0.5)
+    exp = i + _E_MIN
+    slow |= (np.abs(frac - 0.5) <= 1e-6) | (digits < 10**16) | (digits >= 10**17)
+    for j in np.flatnonzero(slow):
+        s = "%.16e" % abs(v[j])
+        digits[j], exp[j] = int(s[0] + s[2:18]), int(s[19:])
+    # [sign] d . 16 digits e +- [hundreds] tens ones , -- 25 bytes, 23 kept at most.
+    cells = np.empty((len(v), 25), dtype=np.uint8)
+    cells[:, 0] = ord("-")
+    cells[:, 1] = digits // 10**16 + ord("0")
+    cells[:, 2] = ord(".")
+    rest = digits % 10**16
+    for col, group in ((3, rest // 10**12), (7, rest // 10**8 % 10**4),
+                       (11, rest // 10**4 % 10**4), (15, rest % 10**4)):
+        cells[:, col:col + 4] = quads[group]
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(exp < 0, ord("-"), ord("+"))
+    aexp = np.abs(exp)
+    cells[:, 21] = aexp // 100 + ord("0")
+    cells[:, 22:24] = quads[aexp % 100, 2:]
+    row_end = np.arange(start + 1, start + len(v) + 1) % ncols == 0
+    cells[:, 24] = np.where(row_end, ord("\n"), ord(","))
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, 0] = np.signbit(v)
+    keep[:, 21] = aexp >= 100
+    return cells[keep].tobytes()
+
+
+def _csv_rows(values):
+    """The rows of a 2-D float array as CSV bytes, in blocks of _BLOCK cells.
+
+    Each value is written exactly as "%.16e" % v would write it.  Raises
+    StabilityError, before yielding anything, if a value is not finite.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise StabilityError(f"refusing to write {bad} non-finite values")
+    flat = values.ravel()
+    ncols = values.shape[1]
+    return (_csv_block(flat[s:s + _BLOCK], ncols, s) for s in range(0, flat.size, _BLOCK))
+
+
 def _format(v: float) -> str:
-    return f"{v:.16e}"
+    """One number in the CSV format."""
+    return next(_csv_rows([[v]]))[:-1].decode()
 
 
-def _write_grid_outputs(outdir: str, stem: str, grid: DetectorGrid, meta: dict) -> None:
+def _write_csv(path: pathlib.Path, head: list[bytes], values) -> None:
+    rows = _csv_rows(values)
+    with open(path, "wb") as fh:
+        fh.writelines(head)
+        fh.writelines(rows)
+
+
+def _write_meta(out: pathlib.Path, stem: str, meta: dict, files: list, t0: float,
+                t_write: float) -> None:
+    """The JSON metadata; the command started at t0 and began writing at t_write."""
+    timings = {"compute_s": t_write - t0, "write_s": time.perf_counter() - t_write}
+    meta = dict(meta, code_version=__version__, files=files, timings=timings)
+    with open(out / f"{stem}.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_grid_outputs(outdir: str, stem: str, grid: DetectorGrid, meta: dict, t0: float) -> None:
+    t_write = time.perf_counter()
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.asarray(grid.values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise StabilityError("grid evaluation produced non-finite values")
     csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("# row i: y = y[i]; column j: x = x[j]; value = per-pixel density\n")
-        fh.write("# x: " + ",".join(_format(v) for v in grid.x) + "\n")
-        fh.write("# y: " + ",".join(_format(v) for v in grid.y) + "\n")
-        for row in values:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+    _write_csv(csv_path, [
+        b"# row i: y = y[i]; column j: x = x[j]; value = per-pixel density\n",
+        b"# x: " + b"".join(_csv_rows([grid.x])),
+        b"# y: " + b"".join(_csv_rows([grid.y])),
+    ], values)
     vmax = float(values.max())
     scaled = np.zeros_like(values) if vmax <= 0.0 else values / vmax
     img = np.round(scaled * 65535.0).astype(">u2")
@@ -124,31 +264,20 @@ def _write_grid_outputs(outdir: str, stem: str, grid: DetectorGrid, meta: dict) 
     with open(pgm_path, "wb") as fh:
         fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n65535\n".encode())
         fh.write(img.tobytes())
-    meta = dict(meta)
-    meta["image_max_value"] = vmax
-    meta["code_version"] = __version__
-    meta["files"] = [csv_path.name, pgm_path.name]
-    with open(out / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta = dict(meta, image_max_value=vmax)
+    _write_meta(out, stem, meta, [csv_path.name, pgm_path.name], t0, t_write)
 
 
 def _write_spectrum_outputs(
-    outdir: str, stem: str, header: list[str], rows: list[tuple], meta: dict
+    outdir: str, stem: str, header: list[str], rows: list[tuple], meta: dict, t0: float
 ) -> None:
+    t_write = time.perf_counter()
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(float(v)) for v in row) + "\n")
-    meta = dict(meta)
-    meta["code_version"] = __version__
-    meta["files"] = [csv_path.name]
-    with open(out / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    _write_csv(csv_path, [(",".join(header) + "\n").encode()], values)
+    _write_meta(out, stem, meta, [csv_path.name], t0, t_write)
 
 
 @click.group()
@@ -180,6 +309,7 @@ def main() -> None:
 @handle_errors
 def photodetach_profile(ctx, config, **params):
     """Photocurrent density image of a p-wave source on a distant detector."""
+    t0 = time.perf_counter()
     p = _apply_config(ctx, config, params)
     phys = PhysicalContext(
         mass=ELECTRON_MASS, force=ELEMENTARY_CHARGE * float(p["field_vpm"])
@@ -197,7 +327,7 @@ def photodetach_profile(ctx, config, **params):
         "eps": phys.eps(energy),
         "alpha_minus_center": phys.qargs((0.0, 0.0, grid.z), energy).alpha_minus,
     }
-    _write_grid_outputs(p["out"], f"photodetach_{p['polarization']}", result, meta)
+    _write_grid_outputs(p["out"], f"photodetach_{p['polarization']}", result, meta, t0)
     click.echo(f"wrote photodetach_{p['polarization']}.[csv,pgm,json] to {p['out']}")
 
 
@@ -212,6 +342,7 @@ def photodetach_profile(ctx, config, **params):
 @handle_errors
 def photodetach_spectrum(ctx, config, **params):
     """Total p-wave photocurrent versus energy (staircase spectrum)."""
+    t0 = time.perf_counter()
     p = _apply_config(ctx, config, params)
     phys = PhysicalContext(
         mass=ELECTRON_MASS, force=ELEMENTARY_CHARGE * float(p["field_vpm"])
@@ -233,7 +364,7 @@ def photodetach_spectrum(ctx, config, **params):
     }
     _write_spectrum_outputs(
         p["out"], "photodetach_spectrum",
-        ["E_uev", "J_10_per_s", "J_1pm1_per_s", "J_avg_per_s"], rows, meta,
+        ["E_uev", "J_10_per_s", "J_1pm1_per_s", "J_avg_per_s"], rows, meta, t0,
     )
     click.echo(f"wrote photodetach_spectrum.[csv,json] to {p['out']}")
 
@@ -280,6 +411,7 @@ _SOURCE_CHOICES = ["swave", "parallel", "m0", "perpendicular", "lattice"]
 @handle_errors
 def atomlaser_profile(ctx, config, **params):
     """Atom-laser beam density on a plane below the condensate."""
+    t0 = time.perf_counter()
     p = _apply_config(ctx, config, params)
     phys = rb87_context()
     energy = 2.0 * math.pi * HBAR * float(p["detuning_khz"]) * 1e3
@@ -314,7 +446,7 @@ def atomlaser_profile(ctx, config, **params):
         "eps": phys.eps(energy),
         "alpha_minus_center": phys.qargs((0.0, 0.0, grid.z), energy).alpha_minus,
     }
-    _write_grid_outputs(p["out"], f"atomlaser_{source}", result, meta)
+    _write_grid_outputs(p["out"], f"atomlaser_{source}", result, meta, t0)
     click.echo(f"wrote atomlaser_{source}.[csv,pgm,json] to {p['out']}")
 
 
@@ -335,6 +467,7 @@ def atomlaser_profile(ctx, config, **params):
 @handle_errors
 def atomlaser_spectrum(ctx, config, **params):
     """Outcoupling rate versus rf detuning."""
+    t0 = time.perf_counter()
     from .atomlaser import gaussian_multipole_current, perp_vortex_current, vortex_current_1m
 
     p = _apply_config(ctx, config, params)
@@ -374,7 +507,7 @@ def atomlaser_spectrum(ctx, config, **params):
     }
     _write_spectrum_outputs(
         p["out"], f"atomlaser_spectrum_{source}",
-        ["detuning_hz", "J_per_s"], rows, meta,
+        ["detuning_hz", "J_per_s"], rows, meta, t0,
     )
     click.echo(f"wrote atomlaser_spectrum_{source}.[csv,json] to {p['out']}")
 

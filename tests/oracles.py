@@ -158,6 +158,28 @@ def pi_profile_mp(x: float, y: float, z: float, E: float, ctx, dps: int = 40) ->
         )
 
 
+def far_swave_mp(x: float, y: float, z: float, E: float, ctx, dps: int = 40):
+    """Far-field s-wave Green function and current density at (x, y, z) in mpmath.
+
+    Returns (G_00, j_00) with G_00 = 4 i beta (bF)^3 Ci(alpha_+) Ai(alpha_-) /
+    sqrt(-4 pi alpha_+) and j_00 = -2 beta^6 F^5 Ai(alpha_-)^2 / (pi^2 hbar
+    alpha_+), Ci = Bi + i Ai, and alpha_-+ = eps - bF z +- bF r formed in dps
+    digits from the same inputs.
+    """
+    with mp.workdps(dps):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        beta, force, hbar = mp.mpf(ctx.beta), mp.mpf(ctx.force), mp.mpf(ctx.hbar)
+        bf, eps = mp.mpf(ctx.beta_f), mp.mpf(ctx.eps(E))
+        r = mp.sqrt(x * x + y * y + z * z)
+        a_minus = eps - bf * z + bf * r
+        a_plus = eps - bf * z - bf * r
+        ai = mp.airyai(a_minus)
+        ci = mp.mpc(mp.airybi(a_plus), mp.airyai(a_plus))
+        green = 4j * beta * bf**3 * ci * ai / mp.sqrt(-4 * mp.pi * a_plus)
+        current = -2 * beta**6 * force**5 * ai**2 / (mp.pi**2 * hbar * a_plus)
+        return complex(green), float(current)
+
+
 def pwave_profile_mp(vec, x: float, y: float, z: float, E: float, ctx, dps: int = 40) -> float:
     """Far-field photocurrent density of a p-wave source with polarization vec.
 

@@ -246,15 +246,22 @@ def test_far_field_error_scaling():
 def test_far_field_current_swave():
     # j_00 ~ -2 beta^6 F^5 Ai(a-)^2 / (pi^2 hbar alpha_+)
     r = _far_point(3e-5, 3.7e6, E0)
-    a = CTX.qargs(r, E0)
-    from ballisticwaves.specfun import airy_unrestricted
-
-    ai = airy_unrestricted(a.alpha_minus).ai
-    want = (
-        -2.0 * CTX.beta**6 * CTX.force**5 * ai**2 / (math.pi**2 * CTX.hbar * a.alpha_plus)
-    )
+    _, want = oracles.far_swave_mp(*r, E0, CTX)
     got = current_density_z_far(MultipoleIndex(0, 0), MultipoleIndex(0, 0), r, E0, CTX)
     assert complex(got) == pytest.approx(want, rel=1e-10)
+
+
+def test_far_field_scalar_alpha_minus_is_stable():
+    # alpha_- = eps + bF (x^2 + y^2) / (r + z): r - z in floats would keep
+    # about 8 digits at this detector distance (2.6e-9 relative in j_00).
+    # G_00 is compared in modulus: the phase of Ci(alpha_+) at alpha_+ ~ -7.4e6
+    # (about 1.3e10 rad) is rounded to about 1e-6 rad in float64.
+    r = _far_point(3e-5, 3.7e6, E0)
+    green_want, current_want = oracles.far_swave_mp(*r, E0, CTX)
+    got = current_density_z_far(MultipoleIndex(0, 0), MultipoleIndex(0, 0), r, E0, CTX)
+    assert complex(got) == pytest.approx(current_want, rel=1e-12)
+    got = green_lm_far(MultipoleIndex(0, 0), r, E0, CTX)
+    assert abs(got) == pytest.approx(abs(green_want), rel=1e-12)
 
 
 def test_far_field_regime_error():

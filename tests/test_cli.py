@@ -19,10 +19,12 @@ from ballisticwaves.ballistic import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     HBAR,
+    DetectorGrid,
     PhysicalContext,
+    photodetachment_profile,
     total_current_matrix,
 )
-from ballisticwaves.cli import main
+from ballisticwaves.cli import _csv_rows, _format, main
 from ballisticwaves.harmonics import MultipoleIndex, translation_coeff_t
 from ballisticwaves.specfun import airy
 
@@ -38,6 +40,57 @@ def _parse_values(output):
             key, val = line.split(" = ")
             out[key.strip()] = float(val)
     return out
+
+
+def _old_rows(values):
+    """The per-value writer the CLI used before its array kernel."""
+    return "".join(",".join(f"{v:.16e}" for v in row) + "\n" for row in values).encode()
+
+
+# ---------------------------------------------------------------- CSV kernel
+
+
+def _exact_ties(rng):
+    # M / 2^j with M odd and M 5^j of 18 digits: the exact decimal ends in a
+    # 5 right after the 17th digit, so "%.16e" rounds half to even.
+    ties = [402406056145.171875]
+    for j in range(2, 25):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        for m in rng.integers(lo, hi, size=8):
+            m = int(m) | 1
+            if m < hi:
+                ties.append(m / 2**j)
+    return np.array(ties)
+
+
+def test_csv_numbers_match_printf_on_random_bit_patterns():
+    rng = np.random.default_rng(20260)
+    bits = rng.integers(0, 2**64, size=1_002_000, dtype=np.uint64)
+    vals = bits.view(np.float64)
+    vals = vals[np.isfinite(vals)][: 1000 * 1000].reshape(1000, 1000)
+    assert b"".join(_csv_rows(vals)) == _old_rows(vals)
+
+
+def test_csv_numbers_match_printf_on_specials():
+    specials = [
+        0.0, 5e-324, 2.5e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, 1e23, 9.999999999999999e22, 1e-280, 1e280,
+        0.1, 0.5, 1.0, 9.5, 99999999999999999.0, 123456789012345678.0,
+    ]
+    specials += [10.0**k for k in range(-307, 309)]
+    specials += list(np.nextafter(np.array([10.0**k for k in range(-300, 301, 7)]), 0.0))
+    vals = np.array(specials)
+    vals = np.concatenate([vals, -vals]).reshape(2, -1)
+    assert b"".join(_csv_rows(vals)) == _old_rows(vals)
+    assert _format(-0.0) == "-0.0000000000000000e+00"
+    assert _format(5e-324) == "4.9406564584124654e-324"
+
+
+def test_csv_numbers_round_exact_ties_to_even():
+    ties = _exact_ties(np.random.default_rng(7))
+    vals = np.concatenate([ties, -ties]).reshape(2, -1)
+    assert b"".join(_csv_rows(vals)) == _old_rows(vals)
+    assert _format(402406056145.171875) == "4.0240605614517188e+11"
 
 
 # ------------------------------------------------------------------- eval
@@ -112,6 +165,12 @@ def _profile_args(tmp_path, extra=()):
     ]
 
 
+def _assert_timings(meta):
+    assert set(meta["timings"]) == {"compute_s", "write_s"}
+    for value in meta["timings"].values():
+        assert isinstance(value, float) and value >= 0.0
+
+
 def test_photodetach_profile_outputs(tmp_path):
     res = _run(_profile_args(tmp_path))
     assert res.exit_code == 0
@@ -136,6 +195,7 @@ def test_photodetach_profile_outputs(tmp_path):
     assert "out" not in meta["inputs"]
     assert meta["image_max_value"] > 0.0
     assert set(meta["files"]) == {"photodetach_pi.csv", "photodetach_pi.pgm"}
+    _assert_timings(meta)
     # CSV layout: two comment lines then 32 rows of 32 values.
     lines = (tmp_path / "photodetach_pi.csv").read_text().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
@@ -154,6 +214,19 @@ def test_photodetach_profile_deterministic(tmp_path):
     assert (d1 / "photodetach_pi.pgm").read_bytes() == (
         d2 / "photodetach_pi.pgm"
     ).read_bytes()
+
+
+def test_photodetach_profile_csv_is_byte_identical_to_per_value_writer(tmp_path):
+    res = _run(_profile_args(tmp_path))
+    assert res.exit_code == 0
+    phys = PhysicalContext(ELECTRON_MASS, ELEMENTARY_CHARGE * 116.0)
+    grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 32, 32)
+    values = photodetachment_profile("pi", grid, 60.8 * (1e-6 * ELEMENTARY_CHARGE), phys).values
+    want = (
+        b"# row i: y = y[i]; column j: x = x[j]; value = per-pixel density\n"
+        + b"# x: " + _old_rows([grid.x]) + b"# y: " + _old_rows([grid.y]) + _old_rows(values)
+    )
+    assert (tmp_path / "photodetach_pi.csv").read_bytes() == want
 
 
 def test_photodetach_profile_regime_exit_3(tmp_path):
@@ -212,6 +285,34 @@ def test_photodetach_spectrum_columns(tmp_path):
             total_current_matrix(i11, i11, e_uev * uev, phys), rel=1e-12
         )
         assert javg == pytest.approx(0.5 * (j10 + j11), rel=1e-12)
+    meta = json.loads((tmp_path / "photodetach_spectrum.json").read_text())
+    assert meta["files"] == ["photodetach_spectrum.csv"]
+    _assert_timings(meta)
+
+
+def test_photodetach_spectrum_csv_is_byte_identical_to_per_value_writer(tmp_path):
+    res = _run(["photodetach-spectrum", "--n-points", "41", "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    phys = PhysicalContext(ELECTRON_MASS, ELEMENTARY_CHARGE * 116.0)
+    uev = 1e-6 * ELEMENTARY_CHARGE
+    i10, i11 = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+    rows = []
+    for energy in np.linspace(-30.0 * uev, 150.0 * uev, 41):
+        j10 = total_current_matrix(i10, i10, float(energy), phys)
+        j11 = total_current_matrix(i11, i11, float(energy), phys)
+        rows.append((energy / uev, j10, j11, 0.5 * (j10 + j11)))
+    want = b"E_uev,J_10_per_s,J_1pm1_per_s,J_avg_per_s\n" + _old_rows(rows)
+    assert (tmp_path / "photodetach_spectrum.csv").read_bytes() == want
+
+
+def test_spectrum_non_finite_value_exit_4(tmp_path, monkeypatch):
+    import ballisticwaves.cli as cli
+
+    monkeypatch.setattr(cli, "total_current_matrix", lambda *args: math.nan)
+    res = _run(["photodetach-spectrum", "--n-points", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    assert "non-finite" in res.output
+    assert not (tmp_path / "photodetach_spectrum.csv").exists()
 
 
 # ------------------------------------------------------------- atom laser

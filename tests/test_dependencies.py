@@ -1,5 +1,5 @@
 """Runtime dependencies: importing and first use pull in neither sympy nor mpmath,
-and importing the package leaves scipy.integrate unloaded."""
+and importing the package leaves scipy.integrate, the CLI and fractions unloaded."""
 
 import os
 import subprocess
@@ -50,6 +50,16 @@ print("scipy.integrate" in sys.modules)
 """
 
 
+# The CLI and its CSV number tables load only with the command line.
+IMPORT_LEAVES_CLI = """
+import sys
+
+import ballisticwaves
+
+print("ballisticwaves.cli" in sys.modules, "fractions" in sys.modules)
+"""
+
+
 def _run_fresh(code: str) -> str:
     src = str(Path(ballisticwaves.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -74,3 +84,7 @@ def test_qi_at_positive_eps_does_not_import_mpmath():
 
 def test_import_does_not_load_scipy_integrate():
     assert _run_fresh(IMPORT_ONLY) == "False"
+
+
+def test_import_does_not_load_the_cli():
+    assert _run_fresh(IMPORT_LEAVES_CLI) == "False False"
