@@ -164,9 +164,9 @@ def q_neg(k: int, a: QArgs) -> complex:
     return m * math.exp(s)
 
 
-def _q_table_scaled(kmax: int, a: QArgs) -> tuple[dict[int, complex], float]:
-    """Mantissas of Q_{-3} ... Q_{kmax} sharing one logscale."""
-    seeds, logscale = _q_neg_table(range(4), a)
+def _q_table_scaled(kmax: int, a: QArgs, kmin: int = -3) -> tuple[dict[int, complex], float]:
+    """Mantissas of Q_{min(kmin, -3)} ... Q_{kmax} sharing one logscale."""
+    seeds, logscale = _q_neg_table(range(max(3, -kmin) + 1), a)
     table = {-n: m for n, m in enumerate(seeds)}
     if kmax >= 1:
         if a.rho == 0.0:
@@ -205,13 +205,10 @@ def q_grad(k: int, a: QArgs) -> tuple[complex, complex]:
 
 
 def q_grad_scaled(k: int, a: QArgs) -> tuple[complex, complex, float]:
-    """Scaled gradient: (d_rho mantissa, d_zeta mantissa, shared logscale)."""
+    """(d_rho mantissa, d_zeta mantissa, shared logscale), from one table of Q_{k-1..k+1}."""
     if k + 1 > Q_K_MAX:
         raise UnsupportedOrderError(f"gradient needs order {k + 1} > {Q_K_MAX}")
-    if k + 1 <= 0:
-        (m_up, m_down), logscale = _q_neg_table((-(k + 1), 1 - k), a)
-        return -2.0 * a.rho * m_up, m_down, logscale
-    table, logscale = _q_table_scaled(k + 1, a)
+    table, logscale = _q_table_scaled(k + 1, a, k - 1)
     return -2.0 * a.rho * table[k + 1], table[k - 1], logscale
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special as sc
 
-from .airyq import QArgs, q, q_grad, qi
+from .airyq import QArgs, _q_table_scaled, q, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
 from .specfun import _airy_ode_derivs, _double_factorial, airy_derivs_upto, airy_unrestricted
 from .harmonics import (
@@ -121,60 +121,52 @@ def green_swave(r, r_src, E: float, ctx: PhysicalContext) -> complex:
     return -4.0 * ctx.beta * ctx.beta_f**3 * q(1, a)
 
 
-def green_lm(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
-    """Multipole Green function G_lm(r, o; E) for a source at the origin."""
-    if idx.l > GREEN_L_MAX:
-        raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {idx.l}")
+def _wave(amplitudes, r, E: float, ctx: PhysicalContext) -> tuple[complex, np.ndarray]:
+    """psi = sum lambda_lm G_lm(r; E) and its Cartesian gradient, from one Q table.
+
+    G_lm = -4 beta bF^(l+3) sum_j (2bF)^j T_jlm K_jm(r) Q_{2j-l+1}, and
+    dQ_k/dr = -2 bF^2 r Q_{k+1} + bF e_z Q_{k-1} (from dQ_k/drho = -2 rho Q_{k+1},
+    dQ_k/dzeta = Q_{k-1}), so every order the sum and its gradient need,
+    Q_{2|m|-l} ... Q_{l+2}, comes from one table at the field point.
+    """
     r = np.asarray(r, dtype=float)
     if not np.any(r):
         raise SingularityError("multipole Green function evaluated at the source")
-    a = ctx.qargs(r, E)
-    bf = ctx.beta_f
-    l, m = idx.l, idx.m
-    total = 0.0 + 0.0j
-    for j in range(abs(m), l + 1):
-        total += (
-            (2.0 * bf) ** j
-            * translation_coeff_t(j, l, m)
-            * klm_eval(MultipoleIndex(j, m), r)
-            * q(2 * j - l + 1, a)
-        )
-    return -4.0 * ctx.beta * bf ** (l + 3) * total
+    lmax = max((idx.l for idx in amplitudes), default=0)
+    if lmax > GREEN_L_MAX:
+        raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {lmax}")
+    tab, logscale = _q_table_scaled(lmax + 2, ctx.qargs(r, E), -lmax)
+    beta, bf = ctx.beta, ctx.beta_f
+    # dQ_k/dr = d_up Q_{k+1} + d_down Q_{k-1}
+    d_up, d_down = -2.0 * bf * bf * r, np.array([0.0, 0.0, bf])
+    psi, grad = 0.0 + 0.0j, np.zeros(3, dtype=complex)
+    for idx, lam in amplitudes.items():
+        l, m = idx.l, idx.m
+        for j in range(abs(m), l + 1):
+            jdx, k = MultipoleIndex(j, m), 2 * j - l + 1
+            c = -4.0 * lam * beta * bf ** (l + 3) * (2.0 * bf) ** j * translation_coeff_t(j, l, m)
+            kval = klm_eval(jdx, r)
+            psi += c * kval * tab[k]
+            grad += c * (tab[k] * np.asarray(klm_grad(jdx, r))
+                         + kval * (tab[k + 1] * d_up + tab[k - 1] * d_down))
+    scale = math.exp(logscale)
+    return psi * scale, grad * scale
+
+
+def green_lm(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
+    """Multipole Green function G_lm(r, o; E) for a source at the origin."""
+    return _wave({idx: 1.0}, r, E, ctx)[0]
 
 
 def green_lm_grad(
     idx: MultipoleIndex, r, E: float, ctx: PhysicalContext
 ) -> tuple[complex, np.ndarray]:
-    """G_lm and its Cartesian gradient, assembled analytically.
+    """G_lm and its Cartesian gradient, assembled analytically from one Q table.
 
     Uses dQ_k/drho = -2 rho Q_{k+1}, dQ_k/dzeta = Q_{k-1} plus the product
     rule on the solid harmonics; no numerical differentiation.
     """
-    if idx.l > GREEN_L_MAX:
-        raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {idx.l}")
-    r = np.asarray(r, dtype=float)
-    if not np.any(r):
-        raise SingularityError("multipole Green function evaluated at the source")
-    a = ctx.qargs(r, E)
-    bf = ctx.beta_f
-    rnorm = float(np.linalg.norm(r))
-    # d(rho)/dr = beta_f * r_hat ; d(zeta)/dr = beta_f * e_z
-    drho = bf * r / rnorm
-    l, m = idx.l, idx.m
-    val = 0.0 + 0.0j
-    grad = np.zeros(3, dtype=complex)
-    for j in range(abs(m), l + 1):
-        c = (2.0 * bf) ** j * translation_coeff_t(j, l, m)
-        jdx = MultipoleIndex(j, m)
-        k = 2 * j - l + 1
-        qk = q(k, a)
-        dq_rho, dq_zeta = q_grad(k, a)
-        kval = klm_eval(jdx, r)
-        kgrad = np.asarray(klm_grad(jdx, r), dtype=complex)
-        val += c * kval * qk
-        grad += c * (kgrad * qk + kval * (dq_rho * drho + dq_zeta * bf * np.array([0, 0, 1.0])))
-    pref = -4.0 * ctx.beta * bf ** (l + 3)
-    return pref * val, pref * grad
+    return _wave({idx: 1.0}, r, E, ctx)
 
 
 def _far_amplitude(idx: MultipoleIndex, X, Y, derivs, bf: float):
@@ -228,22 +220,18 @@ def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> comp
 
 
 def scattering_wave(src: SourceSuperposition, r, ctx: PhysicalContext) -> complex:
-    """psi(r) = sum_lm lambda_lm G_lm(r - origin; E + F z_origin)."""
+    """psi(r) = sum_lm lambda_lm G_lm(r - origin; E + F z_origin), from one Q table."""
     d = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
-    e_eff = src.energy + ctx.force * src.origin[2]
-    return sum(lam * green_lm(idx, d, e_eff, ctx) for idx, lam in src.amplitudes.items())
+    return _wave(src.amplitudes, d, src.energy + ctx.force * src.origin[2], ctx)[0]
 
 
 def current_density(src: SourceSuperposition, r, ctx: PhysicalContext) -> np.ndarray:
-    """Particle current density j = (hbar/M) Im[psi* grad psi], in 1/(m^2 s)."""
+    """Particle current density j = (hbar/M) Im[psi* grad psi], in 1/(m^2 s).
+
+    psi and grad psi come together from one Q table at the field point.
+    """
     d = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
-    e_eff = src.energy + ctx.force * src.origin[2]
-    psi = 0.0 + 0.0j
-    grad = np.zeros(3, dtype=complex)
-    for idx, lam in src.amplitudes.items():
-        g, gg = green_lm_grad(idx, d, e_eff, ctx)
-        psi += lam * g
-        grad += lam * gg
+    psi, grad = _wave(src.amplitudes, d, src.energy + ctx.force * src.origin[2], ctx)
     return (ctx.hbar / ctx.mass) * np.imag(np.conj(psi) * grad)
 
 

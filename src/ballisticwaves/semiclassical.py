@@ -76,9 +76,7 @@ def classical_cross_section(p: ScreenPoint, ctx) -> float:
 
 
 def _alphas(p: ScreenPoint, ctx) -> tuple[float, float]:
-    r = math.sqrt(p.R * p.R + p.z * p.z)
     a = ctx.qargs((p.R, 0.0, p.z), p.E)
-    del r
     return a.alpha_minus, a.alpha_plus
 
 

@@ -40,6 +40,12 @@ _MOMENT_NODES = 60
 _MOMENT_X_MIN = 2.0 ** (2.0 / 3.0)
 #: (nodes, weights) by (nodes, nu); Qi and airy_integral use at most 71 nu values.
 _laguerre_rule = lru_cache(maxsize=None)(sc.roots_genlaguerre)
+#: Gauss-Legendre nodes of airy_integral and the lower end of their window, which
+#: ends at _MOMENT_X_MIN: Ai has at most about 6 oscillations there (phase
+#: (2/3) 15^(3/2) ~ 39), and from 48 nodes on the rule sits at scipy's Airy rounding.
+_LEGENDRE_NODES = 64
+_LEGENDRE_X_MIN = -15.0
+_legendre_rule = lru_cache(maxsize=None)(sc.roots_legendre)
 
 
 @dataclass(frozen=True)
@@ -273,13 +279,21 @@ def _airy_moment_scaled(nu: float, x: float) -> float:
 
 
 def airy_integral(x: float) -> float:
-    """Ai_1(x) = integral of Ai from 0 to x; tends to 1/3 as x -> +infinity."""
+    """Ai_1(x) = integral of Ai from 0 to x; tends to 1/3 as x -> +infinity.
+
+    x >= 2^(2/3): 1/3 minus the Airy-moment tail.  -15 <= x < 2^(2/3): a 64-node
+    Gauss-Legendre rule of Ai on [min(x, 0), max(x, 0)].  x < -15: scipy's itairy,
+    within 7e-16 of mpmath at x = -15.5 ... -200; above -15 it is up to 5e-7 off,
+    and at x = 9 it has the wrong sign.
+    """
     x = _check_finite(x)
     if abs(x) > X_MAX:
         raise DomainError(f"|x| <= {X_MAX} required, got {x}")
     if x >= _MOMENT_X_MIN:
-        # 1/3 minus the tail int_x^inf Ai, which scipy's itairy gets wrong here.
         return 1.0 / 3.0 - _airy_moment_scaled(0.0, x) * math.exp(-(2.0 / 3.0) * x**1.5)
+    if x >= _LEGENDRE_X_MIN:
+        t, w = _legendre_rule(_LEGENDRE_NODES)
+        return 0.5 * x * float(w @ sc.airy(0.5 * x * (t + 1.0))[0])
     return float(sc.itairy(x)[0])
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ballisticwaves import airyq
 from ballisticwaves.airyq import QArgs, q
 from ballisticwaves.ballistic import (
     ALPHA_THRESHOLD,
@@ -184,7 +185,9 @@ def test_near_source_asymptote():
 
 
 def test_green_lm_grad_matches_finite_differences():
-    for idx in (MultipoleIndex(0, 0), MultipoleIndex(1, 0), MultipoleIndex(2, -1)):
+    # (4, -2) and (6, 0) need orders below Q_-3 in the table.
+    indices = (0, 0), (1, 0), (2, -1), (4, -2), (6, 0)
+    for idx in (MultipoleIndex(*lm) for lm in indices):
         r = _random_r(RNG, 1.0 / CTX.beta_f)
         val, grad = green_lm_grad(idx, r, E0, CTX)
         assert val == pytest.approx(green_lm(idx, r, E0, CTX), rel=1e-13)
@@ -529,6 +532,38 @@ def test_scattering_wave_and_current_density():
     # Flux flows outward/downstream on axis below the source.
     jz = current_density(src, (1e-9, 0.0, -0.5e-7), CTX)
     assert jz[2] < 0.0
+    # A superposition is the sum of its Green functions, and j = (hbar/M)
+    # Im(psi* grad psi) over their gradients.
+    amps = {MultipoleIndex(0, 0): 0.3 - 0.2j, MultipoleIndex(1, -1): -0.7 + 0.1j,
+            MultipoleIndex(2, 1): 0.4 + 0.9j}
+    src = SourceSuperposition(amps, E0, origin=(1e-8, -2e-8, 0.5e-8))
+    d = np.asarray(r) - np.asarray(src.origin)
+    e_eff = E0 + CTX.force * src.origin[2]
+    psi = sum(lam * green_lm(idx, d, e_eff, CTX) for idx, lam in amps.items())
+    grad = sum(lam * green_lm_grad(idx, d, e_eff, CTX)[1] for idx, lam in amps.items())
+    assert scattering_wave(src, r, CTX) == pytest.approx(psi, rel=1e-13)
+    want = (CTX.hbar / CTX.mass) * np.imag(np.conj(psi) * grad)
+    got = current_density(src, r, CTX)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_q_table_per_field_point(monkeypatch):
+    # One Q table takes two scaled Airy evaluations, at alpha_- and alpha_+.
+    calls = []
+    real = airyq.airy_scaled
+    monkeypatch.setattr(airyq, "airy_scaled", lambda x: calls.append(x) or real(x))
+    r = (0.2e-7, 0.1e-7, 1.1e-7)
+    src = polarization_to_source("circular", 1.0, E0, CTX)
+    assert len(src.amplitudes) == 3
+    for call in (
+        lambda: green_lm(MultipoleIndex(2, 1), r, E0, CTX),
+        lambda: green_lm_grad(MultipoleIndex(2, 1), r, E0, CTX),
+        lambda: scattering_wave(src, r, CTX),
+        lambda: current_density(src, r, CTX),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 2
 
 
 def test_source_superposition_order_limit():
