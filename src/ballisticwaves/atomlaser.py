@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_hermite
 
-from .airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
+from .airyq import QArgs, _exp, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
 from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, green_swave
 from .errors import DomainError, RegimeError, StabilityWarning, UnsupportedOrderError
 from .harmonics import MultipoleIndex
@@ -246,11 +246,13 @@ def beam_psi_perp(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> com
 
 
 def gaussian_multipole_current(
-    m: int, n_atoms: float, rabi: float, a: float, E: float, ctx: PhysicalContext
-) -> float:
+    m: int, n_atoms: float, rabi: float, a: float, E, ctx: PhysicalContext
+):
     """Outcoupling rate of the circular (m, m) Gaussian multipole source.
 
     J_mm = (8/hbar) beta (bF)^3 (2 alpha)^{2m} Lambda(eps_t)^2 Qi_{m+1}(eps_t).
+    E is a float or an ndarray; an array gives an array of its shape, from
+    one array Qi call.
     """
     if m < 0:
         m = -m
@@ -264,18 +266,21 @@ def gaussian_multipole_current(
         + 2.0 * logl
         + logqi
     )
-    return mant * math.exp(logmag)
+    return mant * _exp(logmag)
 
 
 def vortex_current_1m(
-    src: GaussianSource, E: float, ctx: PhysicalContext, mode: str = "exact"
-) -> float:
+    src: GaussianSource, E, ctx: PhysicalContext, mode: str = "exact"
+):
     """Total current of an l = 1 Gaussian source (single vortex).
 
     mode "exact" uses the Qi combinations; "large-alpha" the Gaussian
     approximations around resonance; "slicing" the Franck-Condon integral of
     the condensate density over the resonance plane E + Fz = 0 (closed form
     for Gaussian sources; identical to "large-alpha" for this family).
+    E is a float or an ndarray; an array gives an array of its shape, and
+    the J_10 cancellation warning, at most one per call, names the worst
+    loss and the eps_t where it occurs.
     """
     if src.idx.l != 1:
         raise DomainError(f"vortex_current_1m requires l = 1, got l={src.idx.l}")
@@ -284,7 +289,7 @@ def vortex_current_1m(
     alpha = ctx.beta_f * a
     eps = ctx.eps(E)
     if mode in ("large-alpha", "slicing"):
-        envelope = math.exp(-(eps**2) / (4.0 * alpha**2))
+        envelope = _exp(-(eps**2) / (4.0 * alpha**2))
         nhw2 = src.n_atoms * (ctx.hbar * src.rabi) ** 2
         if m == 1:
             return 2.0 * math.sqrt(math.pi) * nhw2 / (ctx.hbar * ctx.force * a) * envelope
@@ -309,10 +314,10 @@ def vortex_current_1m(
     mm1, _ = qi_scaled(-1, eps_t)
     terms = (m2, 8.0 * alpha**4 * m1, -4.0 * alpha**2 * m0, 0.5 * mm1)
     bracket = sum(terms)
-    loss = math.log10(max(map(abs, terms)) / abs(bracket)) if bracket else math.inf
+    loss, at = _j10_loss(terms, bracket, eps_t)
     if loss > J10_LOSS_DIGITS_MAX:
         warnings.warn(
-            f"J_10 bracket cancels: about {loss:.1f} of 16 digits lost at eps_t={eps_t:.4g}",
+            f"J_10 bracket cancels: about {loss:.1f} of 16 digits lost at eps_t={at:.4g}",
             StabilityWarning,
             stacklevel=2,
         )
@@ -321,13 +326,30 @@ def vortex_current_1m(
         + 2.0 * logl
         + logqi
     )
-    return bracket * math.exp(logmag)
+    return bracket * _exp(logmag)
+
+
+def _j10_loss(terms, bracket, eps_t):
+    """(digits the J_10 bracket cancels, estimated as log10(max |term| / |bracket|),
+    and its eps_t) at the worst point; floats or arrays."""
+    if not isinstance(bracket, np.ndarray):
+        return (math.log10(max(map(abs, terms)) / abs(bracket)) if bracket else math.inf), eps_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        losses = np.log10(np.max(np.abs(terms), axis=0) / np.abs(bracket)).ravel()
+    losses = np.fmax(losses, -math.inf)  # a nan bracket, as a float one, never warns
+    if not losses.size:
+        return -math.inf, math.nan
+    i = np.argmax(losses)
+    return losses[i], eps_t.flat[i]
 
 
 def perp_vortex_current(
-    src: GaussianSource, E: float, ctx: PhysicalContext, mode: str = "exact"
-) -> float:
-    """Total current of the perpendicular vortex: J = [J_11 + J_10]/2."""
+    src: GaussianSource, E, ctx: PhysicalContext, mode: str = "exact"
+):
+    """Total current of the perpendicular vortex: J = [J_11 + J_10]/2.
+
+    E is a float or an ndarray, as in vortex_current_1m.
+    """
     j11 = vortex_current_1m(
         GaussianSource(src.n_atoms, src.rabi, src.width, MultipoleIndex(1, 1)),
         E, ctx, mode,
@@ -638,25 +660,24 @@ def lattice_spectrum(
 
     J_latt(E) is the weighted incoherent sum of the circular multipole
     currents J_mm(E + m hbar Omega_rot); the vortex structure is not visible
-    in this integrated quantity.
+    in this integrated quantity.  Each component is one array
+    gaussian_multipole_current call over all detunings, and the weighted
+    components are summed by logsumexp along them.
     """
     w = lattice_coeffs(latt)
     a = latt.width
     log_sum = _log_weight_norm(w, a)
-    out = []
-    for dnu in detunings:
-        E = 2.0 * math.pi * ctx.hbar * float(dnu)
-        logs = []
-        for m, wm in enumerate(w):
-            if wm == 0.0:
-                continue
-            e_m = E + m * ctx.hbar * latt.rot
-            j_mm = gaussian_multipole_current(m, latt.n_atoms, latt.rabi, a, e_m, ctx)
-            if j_mm <= 0.0:
-                continue
-            logs.append(
-                gammaln(m + 1) + 2.0 * math.log(abs(wm)) + 2.0 * m * math.log(a)
-                - log_sum + math.log(j_mm)
-            )
-        out.append((float(dnu), float(math.exp(logsumexp(logs))) if logs else 0.0))
-    return out
+    detunings = np.asarray(detunings, dtype=float).ravel()
+    E = 2.0 * math.pi * ctx.hbar * detunings
+    logs = []
+    for m, wm in enumerate(w):
+        if wm == 0.0:
+            continue
+        e_m = E + m * ctx.hbar * latt.rot
+        j_mm = gaussian_multipole_current(m, latt.n_atoms, latt.rabi, a, e_m, ctx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_j = np.where(j_mm <= 0.0, -math.inf, np.log(j_mm))  # a nan stays nan
+        logs.append(
+            gammaln(m + 1) + 2.0 * math.log(abs(wm)) + 2.0 * m * math.log(a) - log_sum + log_j
+        )
+    return list(zip(detunings.tolist(), np.exp(logsumexp(logs, axis=0)).tolist()))

@@ -251,17 +251,18 @@ def current_density_z_far(
 
 
 def total_current_matrix(
-    idx_a: MultipoleIndex, idx_b: MultipoleIndex, E: float, ctx: PhysicalContext
-) -> float:
+    idx_a: MultipoleIndex, idx_b: MultipoleIndex, E, ctx: PhysicalContext
+):
     """Total multipole current matrix element J_{lm,l'm'}(E), in 1/s.
 
     Vanishes identically for m != m' (axial symmetry); diagonal elements are
-    the emission rates J_lm(E).
+    the emission rates J_lm(E).  E is a float or an ndarray; an array gives
+    an array of its shape, from one array qi call per order.
     """
     if idx_a.l > GREEN_L_MAX or idx_b.l > GREEN_L_MAX:
         raise UnsupportedOrderError(f"l, l' <= {GREEN_L_MAX} required")
     if idx_a.m != idx_b.m:
-        return 0.0
+        return np.zeros(E.shape) if isinstance(E, np.ndarray) else 0.0
     l, lp, m = idx_a.l, idx_b.l, idx_a.m
     eps = ctx.eps(E)
     bf = ctx.beta_f
@@ -462,18 +463,15 @@ def photodetachment_profile(
 def photodetachment_spectrum(
     polarization, energies, ctx: PhysicalContext, C: complex = 1.0
 ) -> list[tuple[float, float]]:
-    """Total photocurrent J(E) over an energy range, from the current matrix."""
+    """Total photocurrent J(E) over an energy range, from the current matrix:
+    one array total_current_matrix call per same-m index pair."""
     src0 = polarization_to_source(polarization, C, 0.0, ctx)
     items = list(src0.amplitudes.items())
-    out = []
-    for E in energies:
-        total = 0.0
-        for idx_a, la in items:
-            for idx_b, lb in items:
-                if idx_a.m != idx_b.m:
-                    continue
-                total += (np.conj(la) * lb).real * total_current_matrix(
-                    idx_a, idx_b, E, ctx
-                )
-        out.append((float(E), float(total)))
-    return out
+    energies = np.asarray(energies, dtype=float).ravel()
+    total = np.zeros(energies.shape)
+    for idx_a, la in items:
+        for idx_b, lb in items:
+            if idx_a.m != idx_b.m:
+                continue
+            total += (np.conj(la) * lb).real * total_current_matrix(idx_a, idx_b, energies, ctx)
+    return list(zip(energies.tolist(), total.tolist()))

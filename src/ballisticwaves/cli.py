@@ -269,7 +269,7 @@ def _write_grid_outputs(outdir: str, stem: str, grid: DetectorGrid, meta: dict, 
 
 
 def _write_spectrum_outputs(
-    outdir: str, stem: str, header: list[str], rows: list[tuple], meta: dict, t0: float
+    outdir: str, stem: str, header: list[str], rows, meta: dict, t0: float
 ) -> None:
     t_write = time.perf_counter()
     out = pathlib.Path(outdir)
@@ -350,13 +350,11 @@ def photodetach_spectrum(ctx, config, **params):
     energies = np.linspace(
         float(p["emin_uev"]) * _UEV, float(p["emax_uev"]) * _UEV, int(p["n_points"])
     )
-    rows = []
     i10 = MultipoleIndex(1, 0)
     i11 = MultipoleIndex(1, 1)
-    for energy in energies:
-        j10 = total_current_matrix(i10, i10, float(energy), phys)
-        j11 = total_current_matrix(i11, i11, float(energy), phys)
-        rows.append((energy / _UEV, j10, j11, 0.5 * (j10 + j11)))
+    j10 = total_current_matrix(i10, i10, energies, phys)
+    j11 = total_current_matrix(i11, i11, energies, phys)
+    rows = np.column_stack(np.broadcast_arrays(energies / _UEV, j10, j11, 0.5 * (j10 + j11)))
     meta = {
         "scenario": "photodetach-spectrum",
         "inputs": {k: p[k] for k in sorted(p) if k != "out"},
@@ -483,23 +481,21 @@ def atomlaser_spectrum(ctx, config, **params):
         latt = _lattice_from(p)
         rows = lattice_spectrum(latt, detunings, phys)
     else:
-        rows = []
-        for dnu in detunings:
-            energy = 2.0 * math.pi * HBAR * float(dnu)
-            if source == "swave":
-                j = gaussian_multipole_current(0, n_atoms, rabi, width, energy, phys)
-            elif source == "perpendicular":
-                j = perp_vortex_current(
-                    GaussianSource(n_atoms, rabi, width, MultipoleIndex(1, 1)),
-                    energy, phys,
-                )
-            else:
-                m = 1 if source == "parallel" else 0
-                j = vortex_current_1m(
-                    GaussianSource(n_atoms, rabi, width, MultipoleIndex(1, m)),
-                    energy, phys,
-                )
-            rows.append((float(dnu), j))
+        energies = 2.0 * math.pi * HBAR * detunings
+        if source == "swave":
+            j = gaussian_multipole_current(0, n_atoms, rabi, width, energies, phys)
+        elif source == "perpendicular":
+            j = perp_vortex_current(
+                GaussianSource(n_atoms, rabi, width, MultipoleIndex(1, 1)),
+                energies, phys,
+            )
+        else:
+            m = 1 if source == "parallel" else 0
+            j = vortex_current_1m(
+                GaussianSource(n_atoms, rabi, width, MultipoleIndex(1, m)),
+                energies, phys,
+            )
+        rows = np.column_stack((detunings, j))
     meta = {
         "scenario": "atomlaser-spectrum",
         "inputs": {k: p[k] for k in sorted(p) if k != "out"},

@@ -263,19 +263,22 @@ def airy_derivs_upto(n: int, x: float) -> np.ndarray:
     return np.asarray(_airy_deriv_table(n, x))
 
 
-def _airy_moment_scaled(nu: float, x: float) -> float:
+def _airy_moment_scaled(nu: float, x):
     """M_nu(x) = e^{(2/3) x^{3/2}} int_0^inf tau^nu Ai(x + tau) dtau, x >= _MOMENT_X_MIN.
 
     With a = sqrt(x + tau), b = sqrt(x) and u = (2/3)(a^3 - b^3) it is one
     Gauss-Laguerre sum against u^nu e^{-u} of (tau/u)^nu kve(1/3, (2/3) b^3 + u)
     / (pi sqrt 3), where tau/u = (3/2)(a + b)/(a^2 + ab + b^2) has no cancellation.
+    A float x gives a float; a 1-d array x of N points gives N values from one
+    (N, nodes) kve evaluation and one matrix-vector product.
     """
     u, w = _laguerre_rule(_MOMENT_NODES, nu)
-    b = math.sqrt(x)
+    b = np.sqrt(x)[:, None] if isinstance(x, np.ndarray) else math.sqrt(x)
     a = np.cbrt(b**3 + 1.5 * u)
     r = 1.5 * (a + b) / (a * a + a * b + b * b)
     f = r**nu * sc.kve(1.0 / 3.0, (2.0 / 3.0) * b**3 + u)
-    return float(w @ f) / (math.pi * math.sqrt(3.0))
+    m = (f @ w) / (math.pi * math.sqrt(3.0))
+    return m if isinstance(x, np.ndarray) else float(m)
 
 
 def airy_integral(x: float) -> float:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballisticwaves.airyq import (
+    EPS0,
     Q_K_MAX,
     Q_NEG_MAX,
     QI_K_MAX,
@@ -289,6 +290,54 @@ def test_qi_order_errors():
         qi(QI_K_MAX + 1, 0.0)
     with pytest.raises(UnsupportedOrderError):
         qi(QI_K_MIN - 1, 0.0)
+    with pytest.raises(UnsupportedOrderError):
+        qi(QI_K_MAX + 1, np.zeros(3))
+
+
+def test_qi_array_matches_float_calls():
+    # Array points take the Airy moment (k >= 1, eps >= EPS0) or the Leibniz
+    # rule and recursion over airy_scaled_grid values, which from |eps| = 15 on
+    # come from the asymptotic series, not scipy.  Each band of eps is one
+    # sample.  Above eps = 0 Qi_k has no zeros and the mantissas match to 1e-12
+    # relative; below, near its zeros, to 1e-12 of the band's largest one.  The
+    # logscale is rounded exactly as the float call rounds it: numpy's power
+    # ufunc would differ by one ulp, 5e-10 of Qi at eps ~ 2e4, in ~5% of points.
+    rng = np.random.default_rng(10)
+    edges = (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, EPS0, 15.0, 2e4)
+    bands = [
+        np.concatenate([[lo, np.nextafter(hi, lo)], rng.uniform(lo, hi, 24)])
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    bands[-1] = np.append(bands[-1], 2e4)
+    for k in range(QI_K_MIN, QI_K_MAX + 1):
+        for eps in bands:
+            m, s = qi_scaled(k, eps)
+            want = [qi_scaled(k, float(e)) for e in eps]
+            assert np.array_equal(s, [w[1] for w in want]), (k, eps[0])
+            wm = np.array([w[0] for w in want])
+            floor = np.abs(wm).max() if eps[0] < 0.0 else 0.0
+            assert np.all(np.abs(m - wm) <= 1e-12 * np.maximum(np.abs(wm), floor)), (k, eps[0])
+            wq = np.array([qi(k, float(e)) for e in eps])
+            floor = np.abs(wq).max() if eps[0] < 0.0 else 0.0
+            assert np.all(np.abs(qi(k, eps) - wq) <= 1e-12 * np.maximum(np.abs(wq), floor))
+
+
+def test_qi_array_types():
+    assert type(qi(2, 3.0)) is float and type(qi(-2, -3.0)) is float
+    assert all(type(v) is float for v in qi_scaled(2, 3.0) + qi_scaled(-2, -3.0))
+    zero_d = qi(2, np.array(3.0))  # numpy's scalar, as from a ufunc
+    assert np.shape(zero_d) == () and zero_d == pytest.approx(qi(2, 3.0), rel=1e-12)
+    assert qi_scaled(2, np.array(3.0))[0].shape == ()
+    for k in (-2, 2):
+        m, s = qi_scaled(k, np.array([]))
+        assert m.shape == s.shape == (0,)
+    eps = np.array([[-3.0, 0.5, 2.0], [20.0, -20.0, 1.0]])
+    got = qi(1, eps)
+    assert got.shape == (2, 3)
+    want = np.array([qi(1, float(e)) for e in eps.ravel()]).reshape(2, 3)
+    assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(DomainError):
+        qi(1, np.array([0.0, math.nan]))
 
 
 def test_q_limit_matches_qi():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.special import gammaln, logsumexp
 
 from ballisticwaves import atomlaser
 from ballisticwaves.airyq import q_table_scaled_grid
@@ -262,6 +263,44 @@ def test_single_origin_vortex_reduces_to_circular_beam():
     assert abs(got / want) == pytest.approx(1.0, rel=1e-9)
 
 
+def _lattice_spectrum_per_detuning(latt, detunings):
+    """lattice_spectrum from one float gaussian_multipole_current call per
+    detuning and component, summed in log space per detuning."""
+    w = lattice_coeffs(latt)
+    a = latt.width
+    log_sum = atomlaser._log_weight_norm(w, a)
+    out = []
+    for dnu in detunings:
+        E = _detuning_energy(float(dnu))
+        logs = []
+        for m, wm in enumerate(w):
+            if wm == 0.0:
+                continue
+            e_m = E + m * CTX.hbar * latt.rot
+            j_mm = gaussian_multipole_current(m, latt.n_atoms, latt.rabi, a, e_m, CTX)
+            if j_mm > 0.0:
+                logs.append(gammaln(m + 1) + 2.0 * math.log(abs(wm)) + 2.0 * m * math.log(a)
+                            - log_sum + math.log(j_mm))
+        out.append((float(dnu), math.exp(logsumexp(logs)) if logs else 0.0))
+    return out
+
+
+def test_lattice_spectrum_matches_per_detuning_sum():
+    # The 37-vortex lattice of criterion 10: eps_t ~ 1.9e4, components m = 0 ... 37.
+    latt = _small_lattice(n_shells=3)
+    assert latt.n == 37
+    detunings = np.linspace(-75e3, 60e3, 61)
+    got = lattice_spectrum(latt, detunings, CTX)
+    want = _lattice_spectrum_per_detuning(latt, detunings)
+    assert [d for d, _ in got] == [d for d, _ in want]
+    js = np.array([j for _, j in got])
+    np.testing.assert_allclose(js, [j for _, j in want], rtol=1e-12)
+    # Outcoupling sum rule: integral J dE = 2 pi N (hbar Omega)^2 / hbar.
+    target = 2.0 * math.pi * N_ATOMS * (CTX.hbar * RABI) ** 2 / CTX.hbar
+    assert np.trapezoid(js, _detuning_energy(detunings)) == pytest.approx(target, rel=1e-6)
+    assert lattice_spectrum(latt, [], CTX) == []
+
+
 def test_empty_lattice_spectrum_is_swave():
     latt = VortexLattice((), 2.0 * math.pi * 250.0, A2, N_ATOMS, RABI)
     detunings = (-2000.0, 0.0, 1500.0)
@@ -410,6 +449,45 @@ def test_j10_cancellation_warns():
         warnings.simplefilter("error", StabilityWarning)
         for dnu in np.linspace(-25e3, 25e3, 21):
             vortex_current_1m(small, _detuning_energy(dnu), CTX)
+
+
+def test_currents_accept_energy_arrays():
+    # One array call per quantity equals one float call per energy, within
+    # the 1e-12 of the array Qi, in every mode; the shape is kept.
+    E = _detuning_energy(np.linspace(-25e3, 25e3, 41))
+    sources = [GaussianSource(N_ATOMS, RABI, 0.5e-6, MultipoleIndex(1, m)) for m in (1, 0)]
+    calls = [
+        lambda e: gaussian_multipole_current(0, N_ATOMS, RABI, A2, e, CTX),
+        lambda e: gaussian_multipole_current(3, N_ATOMS, RABI, A2, e, CTX),
+        lambda e: perp_vortex_current(sources[0], e, CTX),
+    ] + [
+        lambda e, src=src, mode=mode: vortex_current_1m(src, e, CTX, mode)
+        for src in sources for mode in ("exact", "large-alpha", "slicing")
+    ]
+    for call in calls:
+        got = call(E.reshape(1, -1))
+        assert got.shape == (1, E.size)
+        want = np.array([call(float(e)) for e in E])
+        np.testing.assert_allclose(got[0], want, rtol=1e-12)
+        assert call(E[:0]).shape == (0,)
+
+
+def test_j10_warns_once_per_array_call():
+    # The array call names the worst loss of the float calls and its eps_t:
+    # about 9.6 digits at +30 Hz, 8.9 on resonance, none from about +-1 kHz on.
+    src = GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 0))
+    E = _detuning_energy(np.linspace(-1200.0, 1200.0, 81))
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always", StabilityWarning)
+        for e in E:
+            vortex_current_1m(src, float(e), CTX)
+    losses = [str(w.message) for w in rec]
+    assert 1 < len(losses) < E.size
+    with pytest.warns(StabilityWarning, match="J_10") as rec:
+        vortex_current_1m(src, E, CTX)
+    assert len(rec) == 1
+    digits = [float(msg.split("about ")[1].split(" ")[0]) for msg in losses]
+    assert str(rec[0].message) == losses[int(np.argmax(digits))]
 
 
 def test_virtual_strength_consistency():

@@ -521,6 +521,41 @@ def test_spectrum_matches_closed_forms():
         )
 
 
+def _spectrum_per_energy(polarization, energies):
+    """photodetachment_spectrum from one float total_current_matrix call per
+    energy and same-m index pair."""
+    items = list(polarization_to_source(polarization, 1.0, 0.0, CTX).amplitudes.items())
+    out = []
+    for E in energies:
+        total = 0.0
+        for idx_a, la in items:
+            for idx_b, lb in items:
+                if idx_a.m == idx_b.m:
+                    J = total_current_matrix(idx_a, idx_b, float(E), CTX)
+                    total += (np.conj(la) * lb).real * J
+        out.append((float(E), total))
+    return out
+
+
+def test_spectrum_matches_per_energy_calls():
+    # The staircase range reaches eps from about -18.7 to 3.7: both sides of
+    # EPS0 = 1, where Qi_2 changes path, and of |eps| = 15, where the array's
+    # Airy values change from scipy to the asymptotic series.
+    energies = np.linspace(-30e-6, 150e-6, 181) * ELEMENTARY_CHARGE
+    assert CTX.eps(energies).min() < -15.0 and CTX.eps(energies).max() > 1.0
+    for pol in ("pi", "sigma", "circular", "tilt45"):
+        got = photodetachment_spectrum(pol, energies, CTX)
+        want = _spectrum_per_energy(pol, energies)
+        assert [E for E, _ in got] == [E for E, _ in want]
+        assert all(type(J) is float for _, J in got)
+        np.testing.assert_allclose([J for _, J in got], [J for _, J in want], rtol=1e-12)
+    assert photodetachment_spectrum("pi", [], CTX) == []
+    idx10, idx11 = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+    grid = energies[:6].reshape(2, 3)
+    assert total_current_matrix(idx10, idx10, grid, CTX).shape == (2, 3)
+    assert np.array_equal(total_current_matrix(idx10, idx11, grid, CTX), np.zeros((2, 3)))
+
+
 def test_scattering_wave_and_current_density():
     src = SourceSuperposition({MultipoleIndex(0, 0): 1.0 + 0.0j}, E0)
     r = (0.2e-7, 0.1e-7, 1.1e-7)

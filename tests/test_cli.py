@@ -296,11 +296,12 @@ def test_photodetach_spectrum_csv_is_byte_identical_to_per_value_writer(tmp_path
     phys = PhysicalContext(ELECTRON_MASS, ELEMENTARY_CHARGE * 116.0)
     uev = 1e-6 * ELEMENTARY_CHARGE
     i10, i11 = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
-    rows = []
-    for energy in np.linspace(-30.0 * uev, 150.0 * uev, 41):
-        j10 = total_current_matrix(i10, i10, float(energy), phys)
-        j11 = total_current_matrix(i11, i11, float(energy), phys)
-        rows.append((energy / uev, j10, j11, 0.5 * (j10 + j11)))
+    # The command makes one array call per index, as here; the array calls
+    # match per-energy calls to 1e-12 (test_ballistic's spectrum tests).
+    energies = np.linspace(-30.0 * uev, 150.0 * uev, 41)
+    j10 = total_current_matrix(i10, i10, energies, phys)
+    j11 = total_current_matrix(i11, i11, energies, phys)
+    rows = zip(energies / uev, j10, j11, 0.5 * (j10 + j11))
     want = b"E_uev,J_10_per_s,J_1pm1_per_s,J_avg_per_s\n" + _old_rows(rows)
     assert (tmp_path / "photodetach_spectrum.csv").read_bytes() == want
 
