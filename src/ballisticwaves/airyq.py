@@ -323,12 +323,7 @@ def qi(k: int, eps):
     qi_scaled for how closely it matches the float call).
     """
     m, s = qi_scaled(k, eps)
-    return m * _exp(s)
-
-
-def _exp(x):
-    """e^x by math for floats (several times cheaper) and by numpy for arrays."""
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    return m * (np.exp(s) if isinstance(s, np.ndarray) else math.exp(s))
 
 
 #: Supported half-integer window (as twice the index: -5/2 ... 21/2).

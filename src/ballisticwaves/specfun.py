@@ -25,6 +25,7 @@ import scipy.special as sc
 from .errors import DomainError, UnsupportedOrderError
 
 _SQRT_PI = math.sqrt(math.pi)
+_PI_SQRT3 = math.pi * math.sqrt(3.0)
 
 #: Largest |x| accepted by the evaluation routines.  Beyond this window the
 #: unscaled values are far outside double range and callers must use the
@@ -273,12 +274,13 @@ def _airy_moment_scaled(nu: float, x):
     (N, nodes) kve evaluation and one matrix-vector product.
     """
     u, w = _laguerre_rule(_MOMENT_NODES, nu)
-    b = np.sqrt(x)[:, None] if isinstance(x, np.ndarray) else math.sqrt(x)
+    vector = isinstance(x, np.ndarray)
+    b = np.sqrt(x)[:, None] if vector else math.sqrt(x)
     a = np.cbrt(b**3 + 1.5 * u)
     r = 1.5 * (a + b) / (a * a + a * b + b * b)
     f = r**nu * sc.kve(1.0 / 3.0, (2.0 / 3.0) * b**3 + u)
-    m = (f @ w) / (math.pi * math.sqrt(3.0))
-    return m if isinstance(x, np.ndarray) else float(m)
+    m = f @ w
+    return m / _PI_SQRT3 if vector else float(m) / _PI_SQRT3
 
 
 def airy_integral(x: float) -> float:
