@@ -287,7 +287,7 @@ def qi_scaled(k: int, eps):
         raise UnsupportedOrderError(f"need {QI_K_MIN} <= k <= {QI_K_MAX}, got {k}")
     if isinstance(eps, np.ndarray):
         return _qi_scaled_array(k, eps)
-    if k >= 1 and eps >= EPS0:
+    if k >= 1 and EPS0 <= eps < math.inf:
         return _qi_moment(k, eps), -(4.0 / 3.0) * eps**1.5
     v = airy_scaled(eps)
     # Not -2 v.s: sums of mantissas over k (the J_10 bracket) need the moment
@@ -345,7 +345,7 @@ def qi_half(index: float, eps: float) -> float:
         raise UnsupportedOrderError(
             f"half-integer index must lie in [{QI_HALF_MIN2}/2, {QI_HALF_MAX2}/2]"
         )
-    if two >= 1 and eps >= EPS0:
+    if two >= 1 and EPS0 <= eps < math.inf:
         return _qi_moment(two / 2.0, eps) * math.exp(-(4.0 / 3.0) * eps**1.5)
     u = _C * eps
     if two <= 1:

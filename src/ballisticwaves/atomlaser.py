@@ -21,10 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_hermite
+from scipy.special import gammaln, logsumexp
 
 from .airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
-from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, green_swave
+from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext
 from .errors import DomainError, RegimeError, StabilityWarning, UnsupportedOrderError
 from .harmonics import MultipoleIndex
 
@@ -366,49 +366,6 @@ def perp_vortex_current(
     return 0.5 * (j11 + j10)
 
 
-def _sigma_1m_factor(idx: MultipoleIndex, x: float, y: float, z: float) -> complex:
-    # Polynomial part of sigma_lm / [sqrt(N) hbar Omega pi^{-3/4} a^{-5/2}],
-    # following sigma_lm = N_l K_lm(grad) sigma with Condon-Shortley phases.
-    if idx.l == 0:
-        return 1.0 + 0.0j
-    if idx.m == 1:
-        return complex(x, y)
-    if idx.m == -1:
-        return -complex(x, -y)
-    return complex(-math.sqrt(2.0) * z)
-
-
-def _gauss_hermite_psi(
-    weights: dict[MultipoleIndex, float],
-    src: GaussianSource,
-    r,
-    E: float,
-    ctx: PhysicalContext,
-    order: int = 24,
-) -> complex:
-    # psi(r) = integral G(r, r'; E) sigma(r') d^3r' by Gauss-Hermite nodes of
-    # the Gaussian envelope e^{-r'^2 / 2a^2} (substitution r' = sqrt(2) a t).
-    a = src.width
-    nodes, wts = roots_hermite(order)
-    s2a = math.sqrt(2.0) * a
-    amp = math.sqrt(src.n_atoms) * ctx.hbar * src.rabi * math.pi**-0.75
-    amp *= a**-1.5 if all(i.l == 0 for i in weights) else a**-2.5
-    total = 0.0 + 0.0j
-    for ix, tx in enumerate(nodes):
-        for iy, ty in enumerate(nodes):
-            for iz, tz in enumerate(nodes):
-                xs, ys, zs = s2a * tx, s2a * ty, s2a * tz
-                poly = sum(
-                    w * _sigma_1m_factor(idx, xs, ys, zs)
-                    for idx, w in weights.items()
-                )
-                if poly == 0.0:
-                    continue
-                g = green_swave(r, (xs, ys, zs), E, ctx)
-                total += wts[ix] * wts[iy] * wts[iz] * poly * g
-    return total * amp * s2a**3
-
-
 def farfield_density(
     src: GaussianSource,
     grid: DetectorGrid,
@@ -421,58 +378,48 @@ def farfield_density(
 
     mode "closed-form" evaluates the asymptotic Gaussian envelope times the
     modulation factor f_11 (parallel vortex) or f_perp (perpendicular);
-    "virtual-source" squares the Q-based beam wave function; "exact"
-    integrates the Gaussian source against the ballistic Green function by
-    Gauss-Hermite quadrature (slow; for validation).
+    "virtual-source" squares the exact beam wave function of the displaced
+    virtual point source (the Q bracket shared with beam_density_grid).
+    Any other mode raises DomainError.
     """
     if orientation not in ("parallel", "perpendicular"):
         raise DomainError(f"unknown orientation {orientation!r}")
     a = src.width
+    if mode == "virtual-source":
+        src11 = GaussianSource(src.n_atoms, src.rabi, a, MultipoleIndex(1, 1))
+        return beam_density_grid(src11, grid, E, ctx, orientation)
+    if mode != "closed-form":
+        raise DomainError(f"unknown mode {mode!r}")
     alpha = ctx.beta_f * a
-    if mode == "closed-form" and alpha < 2.0:
+    if alpha < 2.0:
         warnings.warn(
             f"closed-form far-field density assumes alpha >> 1, got alpha={alpha:.3g}",
             StabilityWarning,
             stacklevel=2,
         )
-    if mode == "closed-form":
-        bf = ctx.beta_f
-        eps = ctx.eps(E)
-        zeta = bf * grid.z
-        xi = bf * grid.x[None, :]
-        ups = bf * grid.y[:, None]
-        if orientation == "parallel":
-            f = xi**2 + ups**2
-        else:
-            f = eps**2 / 4.0 + (
-                ups - eps * math.sqrt(zeta) / (2.0 * math.sqrt(2.0) * alpha**2)
-            ) ** 2
-        pref = (
-            16.0
-            * src.n_atoms
-            * (ctx.hbar * src.rabi) ** 2
-            * ctx.beta**5
-            * ctx.force**3
-            * alpha**3
-            / (math.sqrt(2.0 * math.pi * zeta) * (zeta + 2.0 * alpha**4) ** 2)
-        )
-        values = pref * f * np.exp(
-            -(eps**2 / (4.0 * alpha**2) + 2.0 * alpha**2 * (xi**2 + ups**2) / (zeta + 2.0 * alpha**4))
-        )
-        return DetectorGrid(grid.z, grid.x, grid.y, values)
-    if mode == "virtual-source":
-        src11 = GaussianSource(src.n_atoms, src.rabi, a, MultipoleIndex(1, 1))
-        return beam_density_grid(src11, grid, E, ctx, orientation)
-    if mode != "exact":
-        raise DomainError(f"unknown mode {mode!r}")
-    weights = {MultipoleIndex(1, 1): 1.0} if orientation == "parallel" else _PERP_WEIGHTS
-    values = np.empty((len(grid.y), len(grid.x)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StabilityWarning)
-        for iy, yv in enumerate(grid.y):
-            for ix, xv in enumerate(grid.x):
-                r = (float(xv), float(yv), grid.z)
-                values[iy, ix] = abs(_gauss_hermite_psi(weights, src, r, E, ctx)) ** 2
+    bf = ctx.beta_f
+    eps = ctx.eps(E)
+    zeta = bf * grid.z
+    xi = bf * grid.x[None, :]
+    ups = bf * grid.y[:, None]
+    if orientation == "parallel":
+        f = xi**2 + ups**2
+    else:
+        f = eps**2 / 4.0 + (
+            ups - eps * math.sqrt(zeta) / (2.0 * math.sqrt(2.0) * alpha**2)
+        ) ** 2
+    pref = (
+        16.0
+        * src.n_atoms
+        * (ctx.hbar * src.rabi) ** 2
+        * ctx.beta**5
+        * ctx.force**3
+        * alpha**3
+        / (math.sqrt(2.0 * math.pi * zeta) * (zeta + 2.0 * alpha**4) ** 2)
+    )
+    values = pref * f * np.exp(
+        -(eps**2 / (4.0 * alpha**2) + 2.0 * alpha**2 * (xi**2 + ups**2) / (zeta + 2.0 * alpha**4))
+    )
     return DetectorGrid(grid.z, grid.x, grid.y, values)
 
 

@@ -403,7 +403,10 @@ _SOURCE_CHOICES = ["swave", "parallel", "m0", "perpendicular", "lattice"]
 @click.option("--vortex-file", type=click.Path(), default=None,
               help="CSV of x,y vortex positions (m); lattice source only.")
 @click.option("--mode", type=click.Choice(["exact", "closed-form"]),
-              default="exact", show_default=True)
+              default="exact", show_default=True,
+              help="exact: the virtual-source beam (the lattice image for "
+                   "--source lattice); closed-form: the asymptotic far-field "
+                   "envelope, parallel and perpendicular sources only.")
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 @click.pass_context
 @handle_errors
@@ -411,22 +414,23 @@ def atomlaser_profile(ctx, config, **params):
     """Atom-laser beam density on a plane below the condensate."""
     t0 = time.perf_counter()
     p = _apply_config(ctx, config, params)
+    source = p["source"]
+    if p["mode"] == "closed-form" and source not in ("parallel", "perpendicular"):
+        _fail(2, f"--mode closed-form supports --source parallel or perpendicular, got {source}")
     phys = rb87_context()
     energy = 2.0 * math.pi * HBAR * float(p["detuning_khz"]) * 1e3
     grid = DetectorGrid.centered(
         float(p["z_m"]), float(p["window_m"]), float(p["window_m"]),
         int(p["grid_n"]), int(p["grid_n"]),
     )
-    source = p["source"]
     width = float(p["width_um"]) * 1e-6
     rabi = 2.0 * math.pi * float(p["rabi_hz"])
     if source == "lattice":
         latt = _lattice_from(p)
         result = lattice_beam_grid(latt, grid, float(p["time_s"]), energy, phys)
-    elif p["mode"] == "closed-form" and source in ("parallel", "perpendicular"):
+    elif p["mode"] == "closed-form":
         src = GaussianSource(float(p["n_atoms"]), rabi, width, MultipoleIndex(1, 1))
-        orientation = "parallel" if source == "parallel" else "perpendicular"
-        result = farfield_density(src, grid, energy, phys, orientation, "closed-form")
+        result = farfield_density(src, grid, energy, phys, source, "closed-form")
     else:
         idx = {
             "swave": MultipoleIndex(0, 0),

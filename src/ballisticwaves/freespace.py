@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
+from .ballistic import HBAR
 from .errors import DomainError, SingularityError
 from .harmonics import MultipoleIndex, klm_eval
 from .specfun import _double_factorial
@@ -52,7 +53,7 @@ def _wavenumber(E: float, mass: float, hbar: float) -> float:
     return math.sqrt(2.0 * mass * E) / hbar
 
 
-def green_free(r, r_src, E: float, mass: float, hbar: float = 1.054571817e-34) -> complex:
+def green_free(r, r_src, E: float, mass: float, hbar: float = HBAR) -> complex:
     """Free outgoing-wave Green function -(M/2 pi hbar^2) e^{ikd}/d.
 
     For E <= 0 the analytic continuation k -> i kappa is returned (a decaying
@@ -76,7 +77,7 @@ def _spherical_hankel_plus(l: int, u: float) -> complex:
 
 
 def green_free_lm(
-    idx: MultipoleIndex, R, E: float, mass: float, hbar: float = 1.054571817e-34
+    idx: MultipoleIndex, R, E: float, mass: float, hbar: float = HBAR
 ) -> complex:
     """Free multipole wave -(M k^{l+1}/2 pi hbar^2) h_l^{(+)}(kR) Y_lm(R_hat)."""
     if E <= 0.0:
@@ -96,7 +97,7 @@ def green_free_lm(
     )
 
 
-def wigner_current(idx: MultipoleIndex, E: float, mass: float, hbar: float = 1.054571817e-34) -> float:
+def wigner_current(idx: MultipoleIndex, E: float, mass: float, hbar: float = HBAR) -> float:
     """Free multipole emission rate J = M k^{2l+1} / (4 pi^2 hbar^3).
 
     Independent of m; vanishes at threshold for all l >= 0 (Wigner's law).
@@ -108,7 +109,7 @@ def wigner_current(idx: MultipoleIndex, E: float, mass: float, hbar: float = 1.0
 
 
 def extended_source_strength(
-    profile: RadialSourceProfile, E: float, mass: float, hbar: float = 1.054571817e-34
+    profile: RadialSourceProfile, E: float, mass: float, hbar: float = HBAR
 ) -> float:
     """Point-multipole strength lambda_lm of an extended source.
 
@@ -134,7 +135,7 @@ def extended_source_strength(
 
 
 def free_total_current(
-    strengths: dict[MultipoleIndex, complex], E: float, mass: float, hbar: float = 1.054571817e-34
+    strengths: dict[MultipoleIndex, complex], E: float, mass: float, hbar: float = HBAR
 ) -> float:
     """Total rate of a source decomposed into multipole strengths lambda_lm.
 

@@ -340,6 +340,25 @@ def test_qi_array_types():
         qi(1, np.array([0.0, math.nan]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qi(1, math.inf),
+        lambda: qi(5, math.inf),
+        lambda: qi(60, math.inf),
+        lambda: qi_scaled(3, math.inf),
+        lambda: qi_half(1.5, math.inf),
+    ],
+    ids=["qi-1", "qi-5", "qi-60", "qi_scaled-3", "qi_half-1.5"],
+)
+def test_qi_rejects_positive_infinity(call):
+    # eps = +inf is outside the moment rule's range; it must raise rather
+    # than return nan (or a nan mantissa with logscale -inf).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError):
+            call()
+
 def test_q_limit_matches_qi():
     # Im Q_k(rho, zeta -> 0) -> Qi_k.  Q depends on (zeta, eps) only through
     # zeta - eps, so the residual zeta displacement is absorbed as an energy

@@ -169,8 +169,9 @@ def test_farfield_closed_form_vs_virtual_source():
         assert np.max(np.abs(cf - vs)) <= 0.01 * peak
     with pytest.raises(DomainError):
         farfield_density(src, grid, 0.0, CTX, orientation="diagonal")
-    with pytest.raises(DomainError):
-        farfield_density(src, grid, 0.0, CTX, mode="bogus")
+    for mode in ("bogus", "exact"):
+        with pytest.raises(DomainError):
+            farfield_density(src, grid, 0.0, CTX, mode=mode)
 
 
 def test_beam_density_grid_matches_pointwise():

@@ -332,6 +332,19 @@ def test_atomlaser_profile_swave(tmp_path):
     assert meta["image_max_value"] > 0.0
 
 
+
+@pytest.mark.parametrize("source", ["swave", "m0", "lattice"])
+def test_atomlaser_profile_closed_form_unsupported_source_exit_2(tmp_path, source):
+    # closed-form covers only the parallel and perpendicular vortex; other
+    # sources must not write an image labelled "closed-form".
+    res = _run(
+        ["atomlaser-profile", "--source", source, "--mode", "closed-form",
+         "--grid-n", "8", "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 2
+    assert "parallel" in res.output and "perpendicular" in res.output
+    assert not list(tmp_path.iterdir())
+
 def test_atomlaser_spectrum_matches_library(tmp_path):
     res = _run(
         ["atomlaser-spectrum", "--source", "parallel", "--dnu-min-khz", "-2",
