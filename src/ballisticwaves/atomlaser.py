@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
 from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext
@@ -516,14 +515,27 @@ def lattice_coeffs(latt: VortexLattice) -> list[complex]:
     return list(coeffs)
 
 
+def _logsumexp(a):
+    """log sum_i exp(a_i) along axis 0 of a list of floats or of equal arrays.
+
+    A -inf term adds nothing (all -inf give -inf), and a nan anywhere along the
+    axis gives nan there.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - top), axis=0)) + top
+
+
 def _log_weight_norm(w: list[complex], a: float) -> float:
     # log of sum_k k! |w_k|^2 a^{2k}
     terms = [
-        gammaln(k + 1) + 2.0 * math.log(abs(wk)) + 2.0 * k * math.log(a)
+        math.lgamma(k + 1) + 2.0 * math.log(abs(wk)) + 2.0 * k * math.log(a)
         for k, wk in enumerate(w)
         if wk != 0.0
     ]
-    return float(logsumexp(terms))
+    return float(_logsumexp(terms))
 
 
 def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
@@ -630,6 +642,6 @@ def lattice_spectrum(
         with np.errstate(divide="ignore", invalid="ignore"):
             log_j = np.where(j_mm <= 0.0, -math.inf, np.log(j_mm))  # a nan stays nan
         logs.append(
-            gammaln(m + 1) + 2.0 * math.log(abs(wm)) + 2.0 * m * math.log(a) - log_sum + log_j
+            math.lgamma(m + 1) + 2.0 * math.log(abs(wm)) + 2.0 * m * math.log(a) - log_sum + log_j
         )
-    return list(zip(detunings.tolist(), np.exp(logsumexp(logs, axis=0)).tolist()))
+    return list(zip(detunings.tolist(), np.exp(_logsumexp(logs)).tolist()))

@@ -14,11 +14,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sc
 
 from .airyq import QArgs, _q_table_scaled, q, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
-from .specfun import _airy_ode_derivs, _double_factorial, airy_derivs_upto, airy_unrestricted
+from .specfun import (
+    _ai_grid,
+    _airy_ode_derivs,
+    _double_factorial,
+    airy_derivs_upto,
+    airy_unrestricted,
+)
 from .harmonics import (
     MultipoleIndex,
     klm_eval,
@@ -358,8 +363,10 @@ def staircase_energies(l: int, nu_max: int, ctx: PhysicalContext) -> list[float]
         raise DomainError("l >= 0 required")
     if l > 2:
         raise DomainError(f"J_l0 has no stationary points for l > 2, got l={l}")
+    from scipy.special import ai_zeros
+
     shift = (l + 1) // 2
-    ai, aip, _, _ = sc.ai_zeros(max(nu_max + shift, 1))
+    ai, aip, _, _ = ai_zeros(max(nu_max + shift, 1))
     zeros = aip if l % 2 else ai
     return [
         -float(zeros[nu + shift - 1]) / (2.0 * ctx.beta)
@@ -440,8 +447,7 @@ def photodetachment_profile(
     if mode != "far-field":
         raise DomainError(f"mode must be 'far-field' or 'exact', got {mode!r}")
     xx, yy, am, ap = _far_field_args(grid, E, ctx)
-    ai, aip, _, _ = sc.airy(am)
-    derivs = _airy_ode_derivs(1, ai, aip, am)
+    derivs = _airy_ode_derivs(1, *_ai_grid(am), am)
     bf = ctx.beta_f
     sa = np.sqrt(-ap)
     X, Y = bf * xx / sa, bf * yy / sa

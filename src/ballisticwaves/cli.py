@@ -88,7 +88,8 @@ def handle_errors(fn):
 
 
 def _apply_config(ctx: click.Context, config: str | None, params: dict) -> dict:
-    """Overlay values from a JSON config file onto unset CLI options."""
+    """Overlay values from a JSON config file onto unset CLI options, each
+    converted and checked by its option's type as on the command line."""
     if config is None:
         return params
     try:
@@ -99,13 +100,21 @@ def _apply_config(ctx: click.Context, config: str | None, params: dict) -> dict:
     if not isinstance(cfg, dict):
         _fail(2, f"config {config} must hold a JSON object")
     out = dict(params)
+    options = {p.name: p for p in ctx.command.params}
     for key, value in cfg.items():
         name = key.replace("-", "_")
         if name not in out:
             _fail(2, f"unknown config key {key!r}")
         src = ctx.get_parameter_source(name)
         if src is None or src.name == "DEFAULT":
-            out[name] = value
+            option = options[name]
+            # Every option takes one value; null only where that is the default.
+            if isinstance(value, (list, dict)) or (value is None and option.default is not None):
+                _fail(2, f"config key {key!r} needs one value, got {value!r}")
+            try:
+                out[name] = option.type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                _fail(2, f"config key {key!r}: {exc.format_message()}")
     return out
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .ballistic import HBAR
 from .errors import DomainError, SingularityError
@@ -73,7 +72,9 @@ def green_free(r, r_src, E: float, mass: float, hbar: float = HBAR) -> complex:
 def _spherical_hankel_plus(l: int, u: float) -> complex:
     # Outgoing combination h_l^(+)(u) = n_l(u) + i j_l(u) with the Neumann
     # convention n_l = -y_l, so that h_0^(+)(u) = e^{iu}/u.
-    return complex(-sc.spherical_yn(l, u), sc.spherical_jn(l, u))
+    from scipy.special import spherical_jn, spherical_yn
+
+    return complex(-spherical_yn(l, u), spherical_jn(l, u))
 
 
 def green_free_lm(
@@ -117,9 +118,10 @@ def extended_source_strength(
     reducing at threshold (E = 0) to 4 pi gamma_lm / (2l+1)!! with
     gamma_lm = integral R^{2l+2} sigma_lm(R) dR.
     """
-    # Imported here: scipy.integrate (with scipy.optimize and scipy.sparse.linalg)
-    # costs about 0.35 s, and nothing else in the package uses it.
-    import scipy.integrate
+    # Imported here, as every scipy use in the package is: scipy.integrate (with
+    # scipy.optimize and scipy.sparse.linalg) alone costs about 0.35 s.
+    from scipy.integrate import simpson
+    from scipy.special import spherical_jn
 
     l = profile.idx.l
     radii = np.array([r for r, _ in profile.samples])
@@ -127,11 +129,11 @@ def extended_source_strength(
     if E < 0.0:
         raise DomainError("extended_source_strength requires E >= 0")
     if E == 0.0:
-        gamma = scipy.integrate.simpson(radii ** (2 * l + 2) * vals, x=radii)
+        gamma = simpson(radii ** (2 * l + 2) * vals, x=radii)
         return 4.0 * math.pi * gamma / _double_factorial(2 * l + 1)
     k = _wavenumber(E, mass, hbar)
-    integrand = radii ** (l + 2) * sc.spherical_jn(l, k * radii) * vals
-    return 4.0 * math.pi / k**l * float(scipy.integrate.simpson(integrand, x=radii))
+    integrand = radii ** (l + 2) * spherical_jn(l, k * radii) * vals
+    return 4.0 * math.pi / k**l * float(simpson(integrand, x=radii))
 
 
 def free_total_current(

@@ -286,6 +286,18 @@ def _lattice_spectrum_per_detuning(latt, detunings):
     return out
 
 
+def test_logsumexp_has_scipy_semantics():
+    # A -inf term adds nothing, all -inf give -inf, a nan stays nan, and a list
+    # of arrays is summed along axis 0.
+    for terms in ([0.5, -3.0, 700.0], [-math.inf, 1.0], [-math.inf, -math.inf],
+                  [math.nan, 1.0], [math.inf, 1.0], [-745.0, -746.0], [2.5]):
+        np.testing.assert_allclose(atomlaser._logsumexp(terms), logsumexp(terms),
+                                   rtol=1e-14, atol=1e-15)
+    rows = [np.array([0.0, -math.inf, math.nan, 3.0]), np.array([1.0, -math.inf, 0.0, -math.inf])]
+    np.testing.assert_allclose(atomlaser._logsumexp(rows), logsumexp(rows, axis=0),
+                               rtol=1e-14, atol=1e-15)
+
+
 def test_lattice_spectrum_matches_per_detuning_sum():
     # The 37-vortex lattice of criterion 10: eps_t ~ 1.9e4, components m = 0 ... 37.
     latt = _small_lattice(n_shells=3)

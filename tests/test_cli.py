@@ -261,6 +261,23 @@ def test_config_unknown_key_exit_2(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [{"mode": "bogus", "grid-n": 8}, {"source": "bogus", "grid-n": 8}, {"grid-n": "many"},
+     {"grid-n": None}, {"z-m": [1e-3, 2e-3], "grid-n": 8}],
+)
+def test_config_values_are_checked_like_options(tmp_path, entries):
+    # A config value passes the option's type and choices, as on the command line.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    out.mkdir()
+    res = _run(["atomlaser-profile", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert list(out.iterdir()) == []
+
+
 # ------------------------------------------------------ photodetach-spectrum
 
 

@@ -1,5 +1,5 @@
-"""Runtime dependencies: importing and first use pull in neither sympy nor mpmath,
-and importing the package leaves scipy.integrate, the CLI and fractions unloaded."""
+"""Runtime dependencies: importing and first use pull in neither sympy, mpmath nor
+scipy, and importing the package leaves the CLI and fractions unloaded."""
 
 import os
 import subprocess
@@ -9,8 +9,8 @@ from pathlib import Path
 import ballisticwaves
 
 # The first calls into the scalar Q, grid Q and Qi paths, as a fresh
-# interpreter makes them; prints whether sympy got imported along the way.
-FIRST_USE = """
+# interpreter makes them.
+FIRST_CALLS = """
 import sys
 
 import numpy as np
@@ -22,7 +22,26 @@ airyq.q(2, airyq.QArgs(1.0, 0.5, -1.0))
 airyq.q_table_scaled_grid(1, np.array([1.0]), np.array([0.5]), -1.0)
 for k in (0, -1, -2):
     airyq.qi(k, -1.0)
-print("sympy" in sys.modules)
+"""
+
+# Prints whether sympy got imported along the first calls.
+FIRST_USE = FIRST_CALLS + 'print("sympy" in sys.modules)\n'
+
+
+# The first calls, the large-|x| scalar Airy paths and a 16^2 far-field
+# detector image; prints whether scipy got imported along the way.
+FIRST_USE_WITHOUT_SCIPY = FIRST_CALLS + """
+from ballisticwaves import specfun
+from ballisticwaves.ballistic import (
+    ELECTRON_MASS, ELEMENTARY_CHARGE, DetectorGrid, PhysicalContext, photodetachment_profile,
+)
+
+specfun.airy_scaled(2e4)
+specfun.airy_unrestricted(-40.0)
+ctx = PhysicalContext(mass=ELECTRON_MASS, force=ELEMENTARY_CHARGE * 116.0)
+grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
+photodetachment_profile("pi", grid, 60.8e-6 * ELEMENTARY_CHARGE, ctx)
+print("scipy" in sys.modules)
 """
 
 
@@ -76,6 +95,10 @@ def _run_fresh(code: str) -> str:
 
 def test_first_use_does_not_import_sympy():
     assert _run_fresh(FIRST_USE) == "False"
+
+
+def test_first_use_does_not_import_scipy():
+    assert _run_fresh(FIRST_USE_WITHOUT_SCIPY) == "False"
 
 
 def test_qi_at_positive_eps_does_not_import_mpmath():

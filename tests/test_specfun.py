@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ai_zeros, bi_zeros
 
+from ballisticwaves import _airy_table
 from ballisticwaves.errors import DomainError, UnsupportedOrderError
 from ballisticwaves.specfun import (
     airy,
@@ -102,6 +104,89 @@ def test_airy_scaled_grid_is_seamless_at_the_series_switch():
     x = np.array([15.0 - 1e-9, 15.0 + 1e-9, -15.0 + 1e-9, -15.0 - 1e-9])
     zeta = (2.0 / 3.0) * np.abs(x) ** 1.5
     assert np.all(_airy_grid_errors(x) <= 1e-13 + 4e-16 * zeta * (x < 0.0))
+
+
+def test_window_table_matches_mpmath():
+    # Every committed centre value is the double nearest its 40-digit value,
+    # scaled as ScaledAiryValues for c > 0.
+    for i, row in enumerate(_airy_table.CENTRE_VALUES):
+        c = i / _airy_table.CENTRE_STEPS - 15.0
+        assert row == oracles.airy_mp(c, dps=40, scaled=True), c
+
+
+def _window_points():
+    # 200 seeded points in (-15, 15), and points 1e-6 and 3e-7 from every zero
+    # of Ai, Ai', Bi and Bi' above -15 (12 of each), where values are small
+    # against the local size.
+    zeros = np.concatenate([ai_zeros(12)[:2], bi_zeros(12)[:2]]).ravel()
+    assert zeros.min() > -15.0
+    near = np.concatenate([zeros - 1e-6, zeros + 3e-7])
+    return np.concatenate([np.random.default_rng(15).uniform(-15.0, 15.0, 200), near])
+
+
+def test_airy_window_matches_mpmath():
+    # Taylor steps from the committed table: within 1e-15 of the local size of
+    # each function (scipy's airy / airye were 7e-14 off on such points).
+    assert np.max(_airy_grid_errors(_window_points())) <= 1e-15
+
+
+def _local_size(x, values):
+    # |value| for x > 0, the modulus |x|^(-+1/4) / sqrt(pi) for x < 0.
+    q = np.abs(x) ** 0.25 / math.sqrt(math.pi)
+    modulus = np.array([1.0 / q, q, 1.0 / q, q])
+    return np.where(x > 0.0, np.abs(values), modulus)
+
+
+def _centre_boundaries():
+    # The doubles on either side of every switch between the window's centres,
+    # which lie 1/16 apart.
+    mid = (np.arange(-240, 240) + 0.5) / 16.0
+    return np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)
+
+
+def test_airy_scalar_matches_grid():
+    far = np.geomspace(15.0, 1e5, 20)
+    x = np.concatenate([_window_points(), *_centre_boundaries(), far, -far])
+    grid = np.array(airy_scaled_grid(x))
+    scalar = np.array([list(airy_scaled(v)) for v in x.tolist()]).T
+    assert np.max(np.abs(scalar[:4] - grid[:4]) / _local_size(x, grid[:4])) <= 1e-14
+    np.testing.assert_allclose(scalar[4], grid[4], rtol=1e-14, atol=0.0)
+    plain = np.array([list(airy_unrestricted(v)) for v in x[x <= 0.0].tolist()]).T
+    assert np.array_equal(plain, scalar[:4, x <= 0.0])
+
+
+def test_airy_window_is_continuous_at_centre_boundaries():
+    # Across each switch the values move by their slope times the step (two
+    # ulps), and by nothing more than the rounding of either side.
+    below, above = _centre_boundaries()
+    lo, hi = np.array(airy_scaled_grid(below)[:4]), np.array(airy_scaled_grid(above)[:4])
+    ai, aip, bi, bip = lo
+    r = np.sqrt(np.maximum(below, 0.0))  # the mantissas' own slope for x > 0
+    slope = np.array([aip + r * ai, below * ai + r * aip, bip - r * bi, below * bi - r * bip])
+    jump = hi - lo - slope * (above - below)
+    assert np.max(np.abs(jump) / _local_size(below, lo)) <= 1e-15
+
+
+def test_airy_scalar_is_seamless_at_the_series_switch():
+    # Just inside |x| = 15 the Taylor window answers, just outside the series.
+    for x in (15.0 - 1e-9, 15.0 + 1e-9, -15.0 + 1e-9, -15.0 - 1e-9):
+        got = np.array(airy_scaled(x)[:4])
+        want = np.array(oracles.airy_mp(x, dps=40, scaled=True))
+        size = _local_size(np.array([x]), want[:, None]).ravel()
+        bound = 1e-13 + 4e-16 * (2.0 / 3.0) * 15.0**1.5 * (x < 0.0)
+        assert np.max(np.abs(got - want) / size) <= bound
+
+
+def test_airy_non_finite_arguments():
+    # Grids give nan values with s = 0, +inf, 0 at nan, +inf, -inf; scalars raise.
+    x = np.array([math.nan, math.inf, -math.inf])
+    out = np.array(airy_scaled_grid(x))
+    assert np.isnan(out[:4]).all()
+    assert out[4].tolist() == [0.0, math.inf, 0.0]
+    for v in x.tolist():
+        for f in (airy_scaled, airy_unrestricted):
+            with pytest.raises(DomainError):
+                f(v)
 
 
 def test_airy_domain_errors():
