@@ -164,6 +164,13 @@ def q_neg(k: int, a: QArgs) -> complex:
     return m * math.exp(s)
 
 
+def _warn_small_rho(rho: float, kmax: int) -> None:
+    """Warn when the forward recursion to kmax >= 2 runs at 0 < rho < RHO_MIN."""
+    if kmax >= 2 and 0.0 < rho < RHO_MIN:
+        msg = f"forward Q recursion at rho={rho:g} < {RHO_MIN:g} loses digits"
+        warnings.warn(msg, StabilityWarning, stacklevel=4)
+
+
 def _q_table_scaled(kmax: int, a: QArgs, kmin: int = -3) -> tuple[dict[int, complex], float]:
     """Mantissas of Q_{min(kmin, -3)} ... Q_{kmax} sharing one logscale."""
     seeds, logscale = _q_neg_table(range(max(3, -kmin) + 1), a)
@@ -171,12 +178,7 @@ def _q_table_scaled(kmax: int, a: QArgs, kmin: int = -3) -> tuple[dict[int, comp
     if kmax >= 1:
         if a.rho == 0.0:
             raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
-        if a.rho < RHO_MIN and kmax >= 2:
-            warnings.warn(
-                f"forward Q recursion at rho={a.rho:g} < {RHO_MIN:g} loses digits",
-                StabilityWarning,
-                stacklevel=3,
-            )
+        _warn_small_rho(a.rho, kmax)
         _q_recur(table, kmax, a.rho * a.rho, a.zeta - a.eps)
     return table, logscale
 
@@ -212,12 +214,13 @@ def q_grad_scaled(k: int, a: QArgs) -> tuple[complex, complex, float]:
     return -2.0 * a.rho * table[k + 1], table[k - 1], logscale
 
 
-def q_table_scaled_grid(kmax: int, rho, zeta, eps: float):
-    """Vectorized mantissa table of Q_{-3}..Q_{kmax} on array arguments.
+def q_table_scaled_grid(kmax: int, rho, zeta, eps: float, kmin: int = -3):
+    """Vectorized mantissa table of Q_{min(kmin, -3)}..Q_{kmax} on array arguments.
 
     Returns (table, logscale) where table[k] and logscale are arrays
     broadcast from rho and zeta, with Q_k = table[k] * exp(logscale)
-    elementwise.  Entries with rho = 0 are nan for k >= 1.
+    elementwise.  Entries with rho = 0 are nan for k >= 1.  As in the scalar
+    table, kmax >= 2 with some 0 < rho < RHO_MIN gives one StabilityWarning.
     """
     if kmax > Q_K_MAX:
         raise UnsupportedOrderError(f"need kmax <= {Q_K_MAX}, got {kmax}")
@@ -228,8 +231,9 @@ def q_table_scaled_grid(kmax: int, rho, zeta, eps: float):
     y = eps - zeta - rho  # alpha_plus
     am = ScaledAiryValues(*airy_scaled_grid(x))
     ap = ScaledAiryValues(*airy_scaled_grid(y))
-    table = {-n: m for n, m in enumerate(_q_seeds(range(4), x, y, am, ap))}
+    table = {-n: m for n, m in enumerate(_q_seeds(range(max(3, -kmin) + 1), x, y, am, ap))}
     if kmax >= 1:
+        _warn_small_rho(float(np.min(rho, where=rho > 0.0, initial=math.inf)), kmax)
         with np.errstate(divide="ignore", invalid="ignore"):
             _q_recur(table, kmax, np.where(rho > 0.0, rho * rho, np.nan), zeta - eps)
     return table, ap.s - am.s

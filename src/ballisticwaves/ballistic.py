@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airyq import QArgs, _q_table_scaled, q, qi
+from .airyq import QArgs, _q_table_scaled, q, q_table_scaled_grid, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
 from .specfun import (
     _ai_grid,
@@ -126,36 +126,43 @@ def green_swave(r, r_src, E: float, ctx: PhysicalContext) -> complex:
     return -4.0 * ctx.beta * ctx.beta_f**3 * q(1, a)
 
 
-def _wave(amplitudes, r, E: float, ctx: PhysicalContext) -> tuple[complex, np.ndarray]:
+def _wave(amplitudes, r, E: float, ctx: PhysicalContext):
     """psi = sum lambda_lm G_lm(r; E) and its Cartesian gradient, from one Q table.
 
     G_lm = -4 beta bF^(l+3) sum_j (2bF)^j T_jlm K_jm(r) Q_{2j-l+1}, and
     dQ_k/dr = -2 bF^2 r Q_{k+1} + bF e_z Q_{k-1} (from dQ_k/drho = -2 rho Q_{k+1},
     dQ_k/dzeta = Q_{k-1}), so every order the sum and its gradient need,
-    Q_{2|m|-l} ... Q_{l+2}, comes from one table at the field point.
+    Q_{2|m|-l} ... Q_{l+2}, comes from one table: the float table for one point
+    r (3,), q_table_scaled_grid for points r (..., 3), giving psi (...), grad (..., 3).
     """
     r = np.asarray(r, dtype=float)
-    if not np.any(r):
+    if not np.any(r, axis=-1).all():
         raise SingularityError("multipole Green function evaluated at the source")
     lmax = max((idx.l for idx in amplitudes), default=0)
     if lmax > GREEN_L_MAX:
         raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {lmax}")
-    tab, logscale = _q_table_scaled(lmax + 2, ctx.qargs(r, E), -lmax)
     beta, bf = ctx.beta, ctx.beta_f
-    # dQ_k/dr = d_up Q_{k+1} + d_down Q_{k-1}
-    d_up, d_down = -2.0 * bf * bf * r, np.array([0.0, 0.0, bf])
-    psi, grad = 0.0 + 0.0j, np.zeros(3, dtype=complex)
+    if r.ndim == 1:
+        tab, logscale = _q_table_scaled(lmax + 2, ctx.qargs(r, E), -lmax)
+        scale = math.exp(logscale)
+    else:
+        r = np.moveaxis(r, -1, 0)  # components first, as klm_eval unpacks them
+        rho = bf * np.sqrt(np.sum(r * r, axis=0))
+        tab, logscale = q_table_scaled_grid(lmax + 2, rho, bf * r[2], ctx.eps(E), -lmax)
+        scale = np.exp(logscale)
+    psi = up = down = gx = gy = gz = 0.0  # up, down: sums of c K Q_{k+1}, c K Q_{k-1}
     for idx, lam in amplitudes.items():
         l, m = idx.l, idx.m
         for j in range(abs(m), l + 1):
             jdx, k = MultipoleIndex(j, m), 2 * j - l + 1
             c = -4.0 * lam * beta * bf ** (l + 3) * (2.0 * bf) ** j * translation_coeff_t(j, l, m)
-            kval = klm_eval(jdx, r)
-            psi += c * kval * tab[k]
-            grad += c * (tab[k] * np.asarray(klm_grad(jdx, r))
-                         + kval * (tab[k + 1] * d_up + tab[k - 1] * d_down))
-    scale = math.exp(logscale)
-    return psi * scale, grad * scale
+            kval, ck = c * klm_eval(jdx, r), c * tab[k]
+            psi, up, down = psi + kval * tab[k], up + kval * tab[k + 1], down + kval * tab[k - 1]
+            dx, dy, dz = klm_grad(jdx, r)
+            gx, gy, gz = gx + ck * dx, gy + ck * dy, gz + ck * dz
+    up *= -2.0 * bf * bf
+    grad = (gx + up * r[0], gy + up * r[1], gz + up * r[2] + bf * down)
+    return psi * scale, np.stack([g * scale for g in grad], axis=-1)
 
 
 def green_lm(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
@@ -233,11 +240,11 @@ def scattering_wave(src: SourceSuperposition, r, ctx: PhysicalContext) -> comple
 def current_density(src: SourceSuperposition, r, ctx: PhysicalContext) -> np.ndarray:
     """Particle current density j = (hbar/M) Im[psi* grad psi], in 1/(m^2 s).
 
-    psi and grad psi come together from one Q table at the field point.
+    r and j are one point (3,) or points (..., 3); psi, grad psi share one Q table.
     """
     d = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
     psi, grad = _wave(src.amplitudes, d, src.energy + ctx.force * src.origin[2], ctx)
-    return (ctx.hbar / ctx.mass) * np.imag(np.conj(psi) * grad)
+    return (ctx.hbar / ctx.mass) * np.imag(np.conj(psi)[..., None] * grad)
 
 
 def current_density_z_far(
@@ -435,15 +442,14 @@ def photodetachment_profile(
     form j_z = -beta (2bF)^5 / (4 pi hbar alpha_+) |sum_lm lambda_lm A_lm|^2
     with A_lm the far-field amplitudes over one Airy table of the grid; the
     tilt45 preset is pixelwise exactly the mean of the pi and sigma
-    profiles.  mode='exact' differentiates the exact Green functions instead.
+    profiles.  mode='exact' takes j_z from one current_density call over all
+    pixels instead, which raises SingularityError if a pixel is the source.
     """
     if mode == "exact":
         src = polarization_to_source(polarization, C, E, ctx)
-        values = np.empty((len(grid.y), len(grid.x)))
-        for iy, yv in enumerate(grid.y):
-            for ix, xv in enumerate(grid.x):
-                values[iy, ix] = current_density(src, (xv, yv, grid.z), ctx)[2]
-        return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=values)
+        xx, yy = np.meshgrid(grid.x, grid.y)
+        j = current_density(src, np.stack([xx, yy, np.full_like(xx, grid.z)], axis=-1), ctx)
+        return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=j[..., 2])
     if mode != "far-field":
         raise DomainError(f"mode must be 'far-field' or 'exact', got {mode!r}")
     xx, yy, am, ap = _far_field_args(grid, E, ctx)

@@ -9,6 +9,7 @@ operators.  Test tolerances are chosen against these references.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -231,6 +232,13 @@ def qi_scaled_mp(k: int, eps: float) -> float:
         return float(t[k] * mp.exp(4 * max(e, 0) ** mp.mpf(1.5) / 3))
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _airyai_at(x, prec: int):
+    """mp.airyai(x) at the working precision prec, memoized: qi_quad_mp meets the
+    same Gauss-Legendre nodes, so the same Ai arguments, for every index at one eps."""
+    return mp.airyai(x)
+
+
 def qi_quad_mp(index: float, eps: float, dps: int = 30) -> float:
     """Qi at any index > -1/2 from its Riemann-Liouville integral by mpmath quadrature.
 
@@ -241,8 +249,8 @@ def qi_quad_mp(index: float, eps: float, dps: int = 30) -> float:
     """
     with mp.workdps(dps):
         k, e, c = mp.mpf(index), mp.mpf(eps), mp.cbrt(4)
-        integral = mp.quad(lambda s: s ** (2 * k) * mp.airyai(c * (e + s * s)), [0, 4],
-                           method="gauss-legendre")
+        integral = mp.quad(lambda s: s ** (2 * k) * _airyai_at(c * (e + s * s), mp.mp.prec),
+                           [0, 4], method="gauss-legendre")
         return float(c / (mp.sqrt(mp.pi) * mp.gamma(k + 0.5)) * integral)
 
 

@@ -172,10 +172,10 @@ def test_q_grad_scaled_consistency():
 def test_q_table_grid_matches_scalar():
     rho = np.array([0.3, 1.2, 2.5])
     zeta = np.array([-1.0, 0.0, 1.5])
-    tab, ls = q_table_scaled_grid(6, rho, zeta, -2.0)
+    tab, ls = q_table_scaled_grid(6, rho, zeta, -2.0, kmin=-5)
     for i in range(3):
         a = QArgs(float(rho[i]), float(zeta[i]), -2.0)
-        for k in (-3, 0, 2, 6):
+        for k in (-5, -3, 0, 2, 6):
             got = tab[k][i] * math.exp(ls[i])
             assert got == pytest.approx(q(k, a), rel=1e-11)
 
@@ -206,6 +206,18 @@ def test_q_singularity_and_stability():
     # k <= 0 stays finite at rho = 0.
     q(0, QArgs(0.0, 0.3, -1.0))
     q_neg(2, QArgs(0.0, 0.3, -1.0))
+
+
+def test_q_table_grid_warns_like_scalar():
+    # One warning per grid call with some 0 < rho < RHO_MIN at kmax >= 2; none
+    # for kmax = 1 or for entries at rho = 0 (nan there, as documented).
+    with pytest.warns(StabilityWarning) as record:
+        q_table_scaled_grid(2, np.array([1e-4, 0.5, 2e-4]), np.zeros(3), 0.0)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        q_table_scaled_grid(1, np.array([1e-4]), np.zeros(1), 0.0)
+        q_table_scaled_grid(6, np.array([0.0, 0.5]), np.zeros(2), 0.0)
 
 
 # ------------------------------------------------------------------------- Qi

@@ -505,6 +505,27 @@ def test_profile_exact_mode_far_agreement():
         photodetachment_profile("pi", grid, E0, CTX, mode="nearfield")
 
 
+def test_profile_exact_mode_matches_pixel_loop():
+    # The exact image is one current_density call over the plane; the
+    # per-pixel loop is its reference, on a near-field plane that holds the
+    # on-axis pixel and on the detector plane.
+    bf = CTX.beta_f
+    for grid in (
+        DetectorGrid.centered(1.5 / bf, 4.0 / bf, 4.0 / bf, 9, 9),
+        DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 32, 32),
+    ):
+        for pol in ("pi", "sigma", "circular", "tilt45", (0.3 + 0.1j, -0.5j, 0.8)):
+            got = photodetachment_profile(pol, grid, E0, CTX, mode="exact").values
+            src = polarization_to_source(pol, 1.0, E0, CTX)
+            want = np.array(
+                [[current_density(src, (x, y, grid.z), CTX)[2] for x in grid.x] for y in grid.y]
+            )
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (pol, grid.z)
+    on_source = DetectorGrid.centered(0.0, 4.0 / bf, 4.0 / bf, 9, 9)
+    with pytest.raises(SingularityError):
+        photodetachment_profile("pi", on_source, E0, CTX, mode="exact")
+
+
 def test_spectrum_matches_closed_forms():
     energies = np.linspace(-20e-6, 80e-6, 7) * ELEMENTARY_CHARGE
     spec_pi = photodetachment_spectrum("pi", energies, CTX)

@@ -216,12 +216,14 @@ def test_photodetach_profile_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_photodetach_profile_csv_is_byte_identical_to_per_value_writer(tmp_path):
-    res = _run(_profile_args(tmp_path))
+@pytest.mark.parametrize("mode", ["far-field", "exact"])
+def test_photodetach_profile_csv_is_byte_identical_to_per_value_writer(tmp_path, mode):
+    res = _run(_profile_args(tmp_path, ("--mode", mode)))
     assert res.exit_code == 0
     phys = PhysicalContext(ELECTRON_MASS, ELEMENTARY_CHARGE * 116.0)
     grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 32, 32)
-    values = photodetachment_profile("pi", grid, 60.8 * (1e-6 * ELEMENTARY_CHARGE), phys).values
+    energy = 60.8 * (1e-6 * ELEMENTARY_CHARGE)
+    values = photodetachment_profile("pi", grid, energy, phys, mode=mode).values
     want = (
         b"# row i: y = y[i]; column j: x = x[j]; value = per-pixel density\n"
         + b"# x: " + _old_rows([grid.x]) + b"# y: " + _old_rows([grid.y]) + _old_rows(values)

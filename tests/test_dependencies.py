@@ -28,8 +28,8 @@ for k in (0, -1, -2):
 FIRST_USE = FIRST_CALLS + 'print("sympy" in sys.modules)\n'
 
 
-# The first calls, the large-|x| scalar Airy paths and a 16^2 far-field
-# detector image; prints whether scipy got imported along the way.
+# The first calls, the large-|x| scalar Airy paths and 16^2 far-field and
+# exact detector images; prints whether scipy got imported along the way.
 FIRST_USE_WITHOUT_SCIPY = FIRST_CALLS + """
 from ballisticwaves import specfun
 from ballisticwaves.ballistic import (
@@ -41,6 +41,7 @@ specfun.airy_unrestricted(-40.0)
 ctx = PhysicalContext(mass=ELECTRON_MASS, force=ELEMENTARY_CHARGE * 116.0)
 grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
 photodetachment_profile("pi", grid, 60.8e-6 * ELEMENTARY_CHARGE, ctx)
+photodetachment_profile("pi", grid, 60.8e-6 * ELEMENTARY_CHARGE, ctx, mode="exact")
 print("scipy" in sys.modules)
 """
 
