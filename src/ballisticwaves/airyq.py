@@ -100,20 +100,21 @@ class QArgs:
 # --------------------------------------------------------------------------
 
 
-def _leibniz(orders, f: list, g: list) -> list:
-    """[(-1)^n sum_p C(n, p) f[p] g[n-p] for n in orders]: n-th derivatives of a
-    product whose factors both run against the variable, from their tables."""
-    out = []
+def _leibniz(orders, f: list, g: list) -> dict:
+    """{-n: (-1)^n sum_p C(n, p) f[p] g[n-p] for n in orders}: n-th derivatives of a
+    product whose factors both run against the variable, from their tables, keyed
+    by the order -n of the Q_{-n} or Qi_{-n} they are."""
+    out = {}
     for n in orders:
         total = f[0] * g[n]
         for p in range(1, n + 1):
             total += math.comb(n, p) * f[p] * g[n - p]
-        out.append(-total if n % 2 else total)
+        out[-n] = -total if n % 2 else total
     return out
 
 
-def _q_seeds(orders, x, y, am, ap) -> list:
-    """Mantissas [Q_{-n} for n in orders] sharing the scale exp(s+ - s-).
+def _q_seeds(orders, x, y, am, ap) -> dict:
+    """Mantissas {-n: Q_{-n} for n in orders} sharing the scale exp(s+ - s-).
 
     am, ap hold the scaled Airy values at x = alpha_- and y = alpha_+
     (ScaledAiryValues fields); x, y and the fields may be floats or arrays.
@@ -137,31 +138,16 @@ def _q_recur(table: dict, kmax: int, r2, w) -> None:
         ) / r2
 
 
-def _q_neg_table(orders, a: QArgs) -> tuple[list, float]:
-    """Scalar mantissas [Q_{-n} for n in orders] and their shared logscale."""
-    for n in orders:
-        if n < 0 or n > Q_NEG_MAX:
-            raise UnsupportedOrderError(f"need 0 <= n <= {Q_NEG_MAX}, got {n}")
-    am, ap = airy_scaled(a.alpha_minus), airy_scaled(a.alpha_plus)
-    return _q_seeds(orders, a.alpha_minus, a.alpha_plus, am, ap), ap.s - am.s
-
-
-def _q_neg_scaled(n: int, a: QArgs) -> tuple[complex, float]:
-    """(mantissa, logscale) for Q_{-n}; value = mantissa * exp(logscale)."""
-    (m,), logscale = _q_neg_table((n,), a)
-    return m, logscale
-
-
 def q0(a: QArgs) -> complex:
     """Q_0 = Ai(eps - zeta + rho) * Ci(eps - zeta - rho)."""
-    m, s = _q_neg_scaled(0, a)
-    return m * math.exp(s)
+    return q(0, a)
 
 
 def q_neg(k: int, a: QArgs) -> complex:
     """Q_{-k}, the k-fold zeta-derivative of Q_0 (k >= 0)."""
-    m, s = _q_neg_scaled(k, a)
-    return m * math.exp(s)
+    if not 0 <= k <= Q_NEG_MAX:
+        raise UnsupportedOrderError(f"need 0 <= k <= {Q_NEG_MAX}, got {k}")
+    return q(-k, a)
 
 
 def _warn_small_rho(rho: float, kmax: int) -> None:
@@ -172,24 +158,25 @@ def _warn_small_rho(rho: float, kmax: int) -> None:
 
 
 def _q_table_scaled(kmax: int, a: QArgs, kmin: int = -3) -> tuple[dict[int, complex], float]:
-    """Mantissas of Q_{min(kmin, -3)} ... Q_{kmax} sharing one logscale."""
-    seeds, logscale = _q_neg_table(range(max(3, -kmin) + 1), a)
-    table = {-n: m for n, m in enumerate(seeds)}
+    """Mantissas of Q_{min(kmin, -3)} ... Q_{kmax} sharing one logscale; for
+    kmax <= 0 only Q_kmin ... Q_kmax, the seeds no recursion needs."""
+    orders = range(-kmax, 1 - kmin) if kmax <= 0 else range(max(3, -kmin) + 1)
+    x, y = a.alpha_minus, a.alpha_plus
+    am, ap = airy_scaled(x), airy_scaled(y)
+    table = _q_seeds(orders, x, y, am, ap)
     if kmax >= 1:
         if a.rho == 0.0:
             raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
         _warn_small_rho(a.rho, kmax)
         _q_recur(table, kmax, a.rho * a.rho, a.zeta - a.eps)
-    return table, logscale
+    return table, ap.s - am.s
 
 
 def q_scaled(k: int, a: QArgs) -> tuple[complex, float]:
     """(mantissa, logscale) with Q_k = mantissa * exp(logscale)."""
     if k < -Q_NEG_MAX or k > Q_K_MAX:
         raise UnsupportedOrderError(f"need {-Q_NEG_MAX} <= k <= {Q_K_MAX}, got {k}")
-    if k <= 0:
-        return _q_neg_scaled(-k, a)
-    table, logscale = _q_table_scaled(k, a)
+    table, logscale = _q_table_scaled(k, a, k)
     return table[k], logscale
 
 
@@ -208,8 +195,8 @@ def q_grad(k: int, a: QArgs) -> tuple[complex, complex]:
 
 def q_grad_scaled(k: int, a: QArgs) -> tuple[complex, complex, float]:
     """(d_rho mantissa, d_zeta mantissa, shared logscale), from one table of Q_{k-1..k+1}."""
-    if k + 1 > Q_K_MAX:
-        raise UnsupportedOrderError(f"gradient needs order {k + 1} > {Q_K_MAX}")
+    if k - 1 < -Q_NEG_MAX or k + 1 > Q_K_MAX:
+        raise UnsupportedOrderError(f"gradient needs orders {k - 1} ... {k + 1}")
     table, logscale = _q_table_scaled(k + 1, a, k - 1)
     return -2.0 * a.rho * table[k + 1], table[k - 1], logscale
 
@@ -231,7 +218,7 @@ def q_table_scaled_grid(kmax: int, rho, zeta, eps: float, kmin: int = -3):
     y = eps - zeta - rho  # alpha_plus
     am = ScaledAiryValues(*airy_scaled_grid(x))
     ap = ScaledAiryValues(*airy_scaled_grid(y))
-    table = {-n: m for n, m in enumerate(_q_seeds(range(max(3, -kmin) + 1), x, y, am, ap))}
+    table = _q_seeds(range(max(3, -kmin) + 1), x, y, am, ap)
     if kmax >= 1:
         _warn_small_rho(float(np.min(rho, where=rho > 0.0, initial=math.inf)), kmax)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,8 +261,8 @@ def _qi_from_airy(k: int, eps, ai_m, aip_m):
     or the upward recursion from Qi_0, Qi_-1, Qi_-2; floats or arrays."""
     d = _airy_ode_derivs(max(-k, 2), ai_m, aip_m, eps)
     if k <= 0:
-        return _leibniz((-k,), d, d)[0]
-    return _qi_upward(dict(zip((0, -1, -2), _leibniz(range(3), d, d))), k, eps)[k]
+        return _leibniz((-k,), d, d)[k]
+    return _qi_upward(_leibniz(range(3), d, d), k, eps)[k]
 
 
 def qi_scaled(k: int, eps):

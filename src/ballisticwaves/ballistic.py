@@ -11,7 +11,7 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrder
 from .specfun import (
     _ai_grid,
     _airy_ode_derivs,
+    _airy_zeros,
     _double_factorial,
     airy_derivs_upto,
     airy_unrestricted,
@@ -97,12 +98,12 @@ class SourceSuperposition:
 
 @dataclass
 class DetectorGrid:
-    """Lateral sampling plane at height z with per-pixel values."""
+    """Lateral sampling plane at height z; values is an image's pixels, None on a bare plane."""
 
     z: float
     x: np.ndarray
     y: np.ndarray
-    values: np.ndarray = field(default=None)
+    values: np.ndarray | None = None
 
     @classmethod
     def centered(cls, z: float, width_x: float, width_y: float, nx: int, ny: int):
@@ -112,7 +113,6 @@ class DetectorGrid:
             z=z,
             x=np.linspace(-width_x / 2.0, width_x / 2.0, nx),
             y=np.linspace(-width_y / 2.0, width_y / 2.0, ny),
-            values=np.zeros((ny, nx)),
         )
 
 
@@ -181,16 +181,6 @@ def green_lm_grad(
     return _wave({idx: 1.0}, r, E, ctx)
 
 
-def _far_amplitude(idx: MultipoleIndex, X, Y, derivs, bf: float):
-    """Far-field amplitude A_lm = (2bF)^l i^l (-1)^m K_lm(X, Y, i d/dalpha) Ai(alpha_-).
-
-    derivs is the table Ai^(0..l)(alpha_-); X = bF x / sqrt(-alpha_+) and
-    Y likewise.  Floats and arrays are both accepted.
-    """
-    kop = klm_operator_on_airy_scaled(idx, X, Y, derivs)
-    return (2.0 * bf) ** idx.l * 1j**idx.l * (-1.0) ** idx.m * kop
-
-
 def _far_current(amp_a, amp_b, ap, ctx: PhysicalContext):
     """j_z = -beta (2bF)^5 / (4 pi hbar alpha_+) conj(A_a) A_b."""
     return -ctx.beta * (2.0 * ctx.beta_f) ** 5 / (4.0 * math.pi * ctx.hbar * ap) * (
@@ -198,22 +188,39 @@ def _far_current(amp_a, amp_b, ap, ctx: PhysicalContext):
     )
 
 
-def _far_alphas(x, y, z: float, E: float, ctx: PhysicalContext):
-    """alpha_- and alpha_+ at lateral offsets (x, y) on the plane z; floats or arrays."""
+def _far_field(indices, x, y, z: float, E: float, ctx: PhysicalContext):
+    """({idx: A_lm}, alpha_+) at lateral offsets (x, y) on the plane z.
+
+    A_lm = (2bF)^l i^l (-1)^m K_lm(X, Y, i d/dalpha) Ai(alpha_-), with
+    X = bF x / sqrt(-alpha_+) and Y likewise, over one table Ai^(0..lmax)(alpha_-):
+    airy_derivs_upto for a point (floats), one _ai_grid call for a plane (arrays).
+    """
+    plane = isinstance(x, np.ndarray)
+    sqrt = np.sqrt if plane else math.sqrt
     lat2 = x**2 + y**2
-    rnorm = np.sqrt(lat2 + z**2)
+    rnorm = sqrt(lat2 + z**2)
     bf = ctx.beta_f
     eps = ctx.eps(E)
     # For z > 0, r - z = (x^2 + y^2) / (r + z): on a detector plane r and z
     # agree to about 8 digits, which the plain difference would lose.
-    a_minus = eps + bf * (lat2 / (rnorm + z) if z > 0.0 else rnorm - z)
-    a_plus = eps - bf * z - bf * rnorm
-    if np.max(a_plus) >= -ALPHA_THRESHOLD:
+    am = eps + bf * (lat2 / (rnorm + z) if z > 0.0 else rnorm - z)
+    ap = eps - bf * z - bf * rnorm
+    if ap.max() >= -ALPHA_THRESHOLD:  # not np.max(ap), which costs 2 us on a point
         raise RegimeError(
             f"far-field form needs alpha_+ < -{ALPHA_THRESHOLD}, but alpha_+ reaches "
-            f"{np.max(a_plus):.3g} at z={z:g} m, E={E:g} J"
+            f"{ap.max():.3g} at z={z:g} m, E={E:g} J"
         )
-    return a_minus, a_plus
+    lmax = max([idx.l for idx in indices])
+    derivs = _airy_ode_derivs(lmax, *_ai_grid(am), am) if plane else airy_derivs_upto(lmax, am)
+    sa = sqrt(-ap)
+    X, Y = bf * x / sa, bf * y / sa
+    del lat2, rnorm, am, sa  # a plane's amplitudes reuse this memory: fewer page faults
+    amps = {
+        idx: (2.0 * bf) ** idx.l * 1j**idx.l * (-1.0) ** idx.m
+        * klm_operator_on_airy_scaled(idx, X, Y, derivs)
+        for idx in indices
+    }
+    return amps, ap
 
 
 def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
@@ -221,14 +228,10 @@ def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> comp
 
     G_lm = (i/2) beta (2bF)^3 Ci(alpha_+) / sqrt(-alpha_+) A_lm.
     """
-    r = np.asarray(r, dtype=float)
-    am, ap = _far_alphas(r[0], r[1], r[2], E, ctx)
-    bf = ctx.beta_f
-    sa = math.sqrt(-ap)
+    amps, ap = _far_field((idx,), *np.asarray(r, dtype=float), E, ctx)
     v = airy_unrestricted(ap)
-    derivs = airy_derivs_upto(idx.l, am)
-    amp = _far_amplitude(idx, bf * r[0] / sa, bf * r[1] / sa, derivs, bf)
-    return 0.5j * ctx.beta * (2.0 * bf) ** 3 * complex(v.bi, v.ai) / sa * amp
+    ci = complex(v.bi, v.ai)
+    return 0.5j * ctx.beta * (2.0 * ctx.beta_f) ** 3 * ci / math.sqrt(-ap) * amps[idx]
 
 
 def scattering_wave(src: SourceSuperposition, r, ctx: PhysicalContext) -> complex:
@@ -251,15 +254,8 @@ def current_density_z_far(
     idx_a: MultipoleIndex, idx_b: MultipoleIndex, r, E: float, ctx: PhysicalContext
 ) -> complex:
     """Far-field matrix element j^(z)_{lm,l'm'}(r, o; E)."""
-    r = np.asarray(r, dtype=float)
-    am, ap = _far_alphas(r[0], r[1], r[2], E, ctx)
-    bf = ctx.beta_f
-    sa = math.sqrt(-ap)
-    X, Y = bf * r[0] / sa, bf * r[1] / sa
-    derivs = airy_derivs_upto(max(idx_a.l, idx_b.l), am)
-    amp_a = _far_amplitude(idx_a, X, Y, derivs, bf)
-    amp_b = _far_amplitude(idx_b, X, Y, derivs, bf)
-    return _far_current(amp_a, amp_b, ap, ctx)
+    amps, ap = _far_field((idx_a, idx_b), *np.asarray(r, dtype=float), E, ctx)
+    return _far_current(amps[idx_a], amps[idx_b], ap, ctx)
 
 
 def total_current_matrix(
@@ -370,11 +366,8 @@ def staircase_energies(l: int, nu_max: int, ctx: PhysicalContext) -> list[float]
         raise DomainError("l >= 0 required")
     if l > 2:
         raise DomainError(f"J_l0 has no stationary points for l > 2, got l={l}")
-    from scipy.special import ai_zeros
-
     shift = (l + 1) // 2
-    ai, aip, _, _ = ai_zeros(max(nu_max + shift, 1))
-    zeros = aip if l % 2 else ai
+    zeros = _airy_zeros(max(nu_max + shift, 1))[l % 2]
     return [
         -float(zeros[nu + shift - 1]) / (2.0 * ctx.beta)
         for nu in range(1 if l == 0 else 0, nu_max + 1)
@@ -422,12 +415,6 @@ def polarization_to_source(
     return SourceSuperposition(amplitudes=amps, energy=E)
 
 
-def _far_field_args(grid: DetectorGrid, E: float, ctx: PhysicalContext):
-    """Vectorized x- and y-meshes, alpha_- and alpha_+ over a detector plane."""
-    xx, yy = np.meshgrid(grid.x, grid.y)
-    return (xx, yy, *_far_alphas(xx, yy, grid.z, E, ctx))
-
-
 def photodetachment_profile(
     polarization,
     grid: DetectorGrid,
@@ -440,35 +427,24 @@ def photodetachment_profile(
 
     mode='far-field' evaluates, for every polarization, the one asymptotic
     form j_z = -beta (2bF)^5 / (4 pi hbar alpha_+) |sum_lm lambda_lm A_lm|^2
-    with A_lm the far-field amplitudes over one Airy table of the grid; the
-    tilt45 preset is pixelwise exactly the mean of the pi and sigma
+    with A_lm the far-field amplitudes of the grid, all from one Airy table;
+    the tilt45 preset is pixelwise exactly the mean of the pi and sigma
     profiles.  mode='exact' takes j_z from one current_density call over all
     pixels instead, which raises SingularityError if a pixel is the source.
     """
+    if mode not in ("far-field", "exact"):
+        raise DomainError(f"mode must be 'far-field' or 'exact', got {mode!r}")
+    xx, yy = np.meshgrid(grid.x, grid.y)
     if mode == "exact":
         src = polarization_to_source(polarization, C, E, ctx)
-        xx, yy = np.meshgrid(grid.x, grid.y)
         j = current_density(src, np.stack([xx, yy, np.full_like(xx, grid.z)], axis=-1), ctx)
         return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=j[..., 2])
-    if mode != "far-field":
-        raise DomainError(f"mode must be 'far-field' or 'exact', got {mode!r}")
-    xx, yy, am, ap = _far_field_args(grid, E, ctx)
-    derivs = _airy_ode_derivs(1, *_ai_grid(am), am)
-    bf = ctx.beta_f
-    sa = np.sqrt(-ap)
-    X, Y = bf * xx / sa, bf * yy / sa
-
-    def image(pol):
-        src = polarization_to_source(pol, C, E, ctx)
-        psi = sum(
-            lam * _far_amplitude(idx, X, Y, derivs, bf) for idx, lam in src.amplitudes.items()
-        )
-        return _far_current(psi, psi, ap, ctx).real
-
-    if isinstance(polarization, str) and polarization == "tilt45":
-        values = (image("pi") + image("sigma")) / 2.0
-    else:
-        values = image(polarization)
+    tilt = isinstance(polarization, str) and polarization == "tilt45"
+    pols = ("pi", "sigma") if tilt else (polarization,)
+    srcs = [polarization_to_source(pol, C, E, ctx).amplitudes for pol in pols]
+    amps, ap = _far_field({idx for src in srcs for idx in src}, xx, yy, grid.z, E, ctx)
+    psis = (sum(lam * amps[idx] for idx, lam in src.items()) for src in srcs)
+    values = sum(_far_current(psi, psi, ap, ctx).real for psi in psis) / len(srcs)
     return DetectorGrid(z=grid.z, x=grid.x, y=grid.y, values=values)
 
 

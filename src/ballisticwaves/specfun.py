@@ -527,14 +527,20 @@ def assoc_legendre_abs2(l: int, m: int, x: float) -> float:
     return float(val)
 
 
+def _airy_zeros(n: int):
+    """(a_1 ... a_n, a'_1 ... a'_n), the first n negative zeros of Ai and of Ai',
+    from scipy's ai_zeros: the package's one source of Airy zeros."""
+    from scipy.special import ai_zeros
+
+    return ai_zeros(n)[:2]
+
+
 def airy_zero(n: int) -> float:
     """n-th negative zero of Ai (n = 1, 2, ...), n <= 100."""
     n = int(n)
     if n < 1 or n > 100:
         raise DomainError(f"zero index must be in [1, 100], got {n}")
-    from scipy.special import ai_zeros
-
-    return float(ai_zeros(n)[0][-1])
+    return float(_airy_zeros(n)[0][-1])
 
 
 def airy_prime_zero(n: int) -> float:
@@ -542,9 +548,7 @@ def airy_prime_zero(n: int) -> float:
     n = int(n)
     if n < 1 or n > 100:
         raise DomainError(f"zero index must be in [1, 100], got {n}")
-    from scipy.special import ai_zeros
-
-    return float(ai_zeros(n)[1][-1])
+    return float(_airy_zeros(n)[1][-1])
 
 
 def _double_factorial(n: int) -> float:

@@ -99,6 +99,8 @@ def test_q_neg_order_error():
     with pytest.raises(UnsupportedOrderError):
         q_neg(Q_NEG_MAX + 1, QArgs(1.0, 0.0, 0.0))
     with pytest.raises(UnsupportedOrderError):
+        q_neg(-1, QArgs(1.0, 0.0, 0.0))
+    with pytest.raises(UnsupportedOrderError):
         q(Q_K_MAX + 1, QArgs(1.0, 0.0, 0.0))
 
 

@@ -431,18 +431,28 @@ def test_polarization_presets():
         polarization_to_source((0.0, 0.0, 0.0), 1.0, E0, CTX)
 
 
+def test_centered_grid_holds_no_image():
+    # A bare plane allocates no pixels: at the 4096^2 cap a zero image was 134 MB.
+    grid = DetectorGrid.centered(0.514, 1e-3, 1e-3, 4096, 4096)
+    assert grid.values is None and grid.x.shape == grid.y.shape == (4096,)
+    with pytest.raises(DomainError):
+        DetectorGrid.centered(0.514, 1e-3, 1e-3, 4097, 4096)
+
+
 def test_profile_presets_match_matrix_sum():
-    # The vectorized preset formulas must agree with the generic bilinear
-    # far-field current matrix (same polarization passed as a raw vector).
-    grid = DetectorGrid.centered(0.514, 4e-4, 4e-4, 5, 5)
-    for preset, vec in (
-        ("pi", (0.0, 0.0, 1.0)),
-        ("sigma", (1.0, 0.0, 0.0)),
-        ("circular", (1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))),
-    ):
-        fast = photodetachment_profile(preset, grid, E0, CTX).values
-        generic = photodetachment_profile(list(vec), grid, E0, CTX).values
-        assert np.allclose(fast, generic, rtol=1e-10)
+    # The far-field image (the plane branch of the far-field kernel) must equal,
+    # pixel by pixel, the bilinear sum of conj(lambda_a) lambda_b times the
+    # scalar far-field current matrix element (its point branch).
+    for n in (5, 16):
+        grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, n, n)
+        for pol in ("pi", "sigma", "circular", (0.3 + 0.1j, -0.5j, 0.8)):
+            got = photodetachment_profile(pol, grid, E0, CTX).values
+            amps = polarization_to_source(pol, 1.0, E0, CTX).amplitudes.items()
+            want = np.array([[sum(
+                np.conj(la) * lb * current_density_z_far(a, b, (x, y, grid.z), E0, CTX)
+                for a, la in amps for b, lb in amps
+            ).real for x in grid.x] for y in grid.y])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_tilt_profile_is_mean_of_pi_and_sigma():

@@ -28,20 +28,28 @@ for k in (0, -1, -2):
 FIRST_USE = FIRST_CALLS + 'print("sympy" in sys.modules)\n'
 
 
-# The first calls, the large-|x| scalar Airy paths and 16^2 far-field and
-# exact detector images; prints whether scipy got imported along the way.
+# The first calls, the large-|x| scalar Airy paths, the far-field forms at one
+# detector point, and 16^2 far-field (pi, tilt45) and exact detector images;
+# prints whether scipy got imported along the way.
 FIRST_USE_WITHOUT_SCIPY = FIRST_CALLS + """
 from ballisticwaves import specfun
 from ballisticwaves.ballistic import (
-    ELECTRON_MASS, ELEMENTARY_CHARGE, DetectorGrid, PhysicalContext, photodetachment_profile,
+    ELECTRON_MASS, ELEMENTARY_CHARGE, DetectorGrid, PhysicalContext, current_density_z_far,
+    green_lm_far, photodetachment_profile,
 )
+from ballisticwaves.harmonics import MultipoleIndex
 
 specfun.airy_scaled(2e4)
 specfun.airy_unrestricted(-40.0)
 ctx = PhysicalContext(mass=ELECTRON_MASS, force=ELEMENTARY_CHARGE * 116.0)
+energy = 60.8e-6 * ELEMENTARY_CHARGE
+point, p10, p11 = (2e-4, -1e-4, 0.514), MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+green_lm_far(p11, point, energy, ctx)
+current_density_z_far(p10, p11, point, energy, ctx)
 grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
-photodetachment_profile("pi", grid, 60.8e-6 * ELEMENTARY_CHARGE, ctx)
-photodetachment_profile("pi", grid, 60.8e-6 * ELEMENTARY_CHARGE, ctx, mode="exact")
+photodetachment_profile("pi", grid, energy, ctx)
+photodetachment_profile("tilt45", grid, energy, ctx)
+photodetachment_profile("pi", grid, energy, ctx, mode="exact")
 print("scipy" in sys.modules)
 """
 
