@@ -201,13 +201,16 @@ def q_grad_scaled(k: int, a: QArgs) -> tuple[complex, complex, float]:
     return -2.0 * a.rho * table[k + 1], table[k - 1], logscale
 
 
-def q_table_scaled_grid(kmax: int, rho, zeta, eps: float, kmin: int = -3):
+def q_table_scaled_grid(kmax: int, rho, zeta, eps: float | np.ndarray, kmin: int = -3):
     """Vectorized mantissa table of Q_{min(kmin, -3)}..Q_{kmax} on array arguments.
 
-    Returns (table, logscale) where table[k] and logscale are arrays
-    broadcast from rho and zeta, with Q_k = table[k] * exp(logscale)
-    elementwise.  Entries with rho = 0 are nan for k >= 1.  As in the scalar
-    table, kmax >= 2 with some 0 < rho < RHO_MIN gives one StabilityWarning.
+    eps is a float or an array that broadcasts with rho and zeta (for example
+    one energy per component at one point).  Returns (table, logscale) where
+    table[k] and logscale are arrays broadcast from rho, zeta and eps, with
+    Q_k = table[k] * exp(logscale) elementwise; every element equals, bit for
+    bit, the call with that element's float eps.  Entries with rho = 0 are
+    nan for k >= 1.  As in the scalar table, kmax >= 2 with some
+    0 < rho < RHO_MIN gives one StabilityWarning.
     """
     if kmax > Q_K_MAX:
         raise UnsupportedOrderError(f"need kmax <= {Q_K_MAX}, got {kmax}")

@@ -15,6 +15,7 @@ exponentially small Q/Qi values are performed in log space.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 import warnings
@@ -22,9 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid, qi_scaled
+from .airyq import QArgs, _q_table_scaled, q_table_scaled_grid, qi_scaled
 from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext
-from .errors import DomainError, RegimeError, StabilityWarning, UnsupportedOrderError
+from .errors import (
+    DomainError,
+    RegimeError,
+    SingularityError,
+    StabilityWarning,
+    UnsupportedOrderError,
+)
 from .harmonics import MultipoleIndex
 
 __all__ = [
@@ -119,6 +126,25 @@ class VortexLattice:
     def n(self) -> int:
         """Number of vortices = highest angular momentum component."""
         return len(self.positions)
+
+    @functools.cached_property
+    def _coeffs(self) -> np.ndarray:
+        """lattice_coeffs, built once per lattice; callers must not modify it."""
+        coeffs = np.array([1.0 + 0.0j])
+        for v in sorted(self.positions, key=abs):
+            coeffs = np.convolve(coeffs, np.array([-v, 1.0 + 0.0j]))
+        return coeffs
+
+    @functools.cached_property
+    def _log_sum(self) -> float:
+        """log of sum_k k! |w_k|^2 a^{2k}, built once per lattice."""
+        a = self.width
+        terms = [
+            math.lgamma(k + 1) + 2.0 * math.log(abs(wk)) + 2.0 * k * math.log(a)
+            for k, wk in enumerate(self._coeffs)
+            if wk != 0.0
+        ]
+        return float(_logsumexp(terms))
 
 
 def rb87_context() -> PhysicalContext:
@@ -479,11 +505,16 @@ def lattice_beam_grid(
     """
     alpha, xi, ups, zeta_t, rho_u, inv = _grid_scaled_vars(grid, ctx, latt.width)
 
-    def q_of(k, eps_t):
-        table, logq = q_table_scaled_grid(k, rho_u, zeta_t, eps_t)
-        return table[k][inv], logq[inv]
+    def q_columns(eps_t):
+        # One table per component: all components at once would hold
+        # n + 1 energies times n + 5 orders per radius.
+        def column(m):
+            table, logq = q_table_scaled_grid(m + 1, rho_u, zeta_t, eps_t[m])
+            return table[m + 1][inv], logq[inv]
 
-    psi = _lattice_psi(latt, xi, ups, t, E, ctx, q_of)
+        return column
+
+    psi = _lattice_psi(latt, xi, ups, t, E, ctx, q_columns)
     return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2)
 
 
@@ -509,10 +540,7 @@ def lattice_coeffs(latt: VortexLattice) -> list[complex]:
     Computed by direct incremental multiplication with roots sorted by
     magnitude; w[k] multiplies (x+iy)^k, w[n] = 1.
     """
-    coeffs = np.array([1.0 + 0.0j])
-    for v in sorted(latt.positions, key=abs):
-        coeffs = np.convolve(coeffs, np.array([-v, 1.0 + 0.0j]))
-    return list(coeffs)
+    return list(latt._coeffs)
 
 
 def _logsumexp(a):
@@ -528,16 +556,6 @@ def _logsumexp(a):
         return np.log(np.sum(np.exp(a - top), axis=0)) + top
 
 
-def _log_weight_norm(w: list[complex], a: float) -> float:
-    # log of sum_k k! |w_k|^2 a^{2k}
-    terms = [
-        math.lgamma(k + 1) + 2.0 * math.log(abs(wk)) + 2.0 * k * math.log(a)
-        for k, wk in enumerate(w)
-        if wk != 0.0
-    ]
-    return float(_logsumexp(terms))
-
-
 def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
     """Normalization constant N_n of the lattice source wave function.
 
@@ -547,9 +565,8 @@ def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
     a = latt.width
     if a_z is not None and a_z != a:
         raise UnsupportedOrderError("anisotropic traps (a_x != a_z) are not supported")
-    w = lattice_coeffs(latt)
     # sum_k k! |w_k|^2 a^{2k+2}, with the extra a^2 folded in
-    log_sum = _log_weight_norm(w, a) + 2.0 * math.log(a)
+    log_sum = latt._log_sum + 2.0 * math.log(a)
     return math.exp(
         0.5 * math.log(latt.n_atoms)
         + math.log(HBAR * latt.rabi)
@@ -558,41 +575,46 @@ def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
     )
 
 
-def _lattice_psi(latt: VortexLattice, xi, ups, t: float, E: float, ctx: PhysicalContext, q_of):
+def _lattice_psi(
+    latt: VortexLattice, xi, ups, t: float, E: float, ctx: PhysicalContext, q_columns
+):
     """Lattice beam wave function at lateral (xi, upsilon), floats or arrays.
 
     Component m has magnitude |w_m| a^m Lambda(eps_tm) (2 alpha |u|)^m e^logq
     (kept in log space) and phase (w_m / |w_m|) e^{i m phi_u} e^{-i e_m t / hbar}
-    times the Q_{m+1} mantissa; q_of(k, eps_t) returns (Q_k mantissa,
-    logscale) at the caller's points.  On the axis u = 0 every m > 0
-    component is exactly zero.  The components are summed with a running
-    elementwise maximum of their logs.
+    times the Q_{m+1} mantissa.  q_columns(eps_t) is called once, with the
+    float array of every eps_tm, m = 0..n; it returns column(m), which gives
+    (Q_{m+1} mantissa at eps_tm, logscale) at the caller's points and is
+    called once per component with w_m != 0, in increasing m.  On the axis
+    u = 0 every m > 0 component is exactly zero.  The components are summed
+    with a running elementwise maximum of their logs, one m at a time, so a
+    point and a plane add them in the same order.
     """
     # Point evaluations use math: numpy calls on scalars cost several times more.
     exp, maximum = (np.exp, np.maximum) if isinstance(xi, np.ndarray) else (math.exp, max)
-    w = lattice_coeffs(latt)
     a = latt.width
     alpha = ctx.beta_f * a
-    log_sum = _log_weight_norm(w, a)
+    log_sum = latt._log_sum
     u = xi + 1j * ups
     absu = abs(u)
     on_axis = absu == 0.0
     phase_u = u / (absu + on_axis)  # 0 on the axis, so phase_u^m drops m > 0
     with np.errstate(divide="ignore"):
         log2au = np.log(2.0 * alpha * absu)  # -inf on the axis
+    e = [E + m * ctx.hbar * latt.rot for m in range(latt.n + 1)]
+    eps_t = [ctx.eps(e_m) + 4.0 * alpha**4 for e_m in e]
+    column = q_columns(np.array(eps_t))
     # Start below every finite log: an axis pixel whose only components are
     # m > 0 stays at this floor with a zero sum, instead of -inf - -inf = nan.
     lmax, acc = -sys.float_info.max, 0.0
-    for m, wm in enumerate(w):
+    for m, wm in enumerate(latt._coeffs):
         if wm == 0.0:
             continue
-        e_m = E + m * ctx.hbar * latt.rot
-        eps_tm = ctx.eps(e_m) + 4.0 * alpha**4
-        qm, logq = q_of(m + 1, eps_tm)
-        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_tm, ctx)
+        qm, logq = column(m)
+        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_t[m], ctx)
         const = math.log(abs(wm)) + m * math.log(a) - 0.5 * log_sum + logl
         lm = const + (m * log2au if m else 0.0) + logq
-        cm = (wm / abs(wm)) * cmath.exp(-1j * e_m * t / ctx.hbar) * phase_u**m * qm
+        cm = (wm / abs(wm)) * cmath.exp(-1j * e[m] * t / ctx.hbar) * phase_u**m * qm
         new_max = maximum(lmax, lm)
         acc = acc * exp(lmax - new_max) + cm * exp(lm - new_max)
         lmax = new_max
@@ -607,14 +629,23 @@ def lattice_beam(
     Coherent sum over angular momentum components m = 0..n, each outcoupled
     at its effective energy E + m hbar Omega_rot; per-m magnitudes are
     combined in log space.  The density profile at time t equals the t = 0
-    profile rotated by Omega_rot * t about the beam axis.
+    profile rotated by Omega_rot * t about the beam axis.  One Q table over
+    the component energies serves every component.  At rho_t = 0 (on the axis
+    at z = -2 alpha^4 / bF) Q_k diverges and SingularityError is raised.
     """
     sv = scaled_vars(r, E, ctx, latt.width)
+    if not math.isfinite(sv.rho_t + sv.eps_t):
+        raise DomainError(f"lattice_beam needs a finite point and energy, got r={r}, E={E}")
+    if sv.rho_t == 0.0:
+        raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
 
-    def q_of(k, eps_t):
-        return q_scaled(k, QArgs(sv.rho_t, sv.zeta_t, eps_t))
+    def q_columns(eps_t):
+        table, logq = q_table_scaled_grid(latt.n + 1, sv.rho_t, sv.zeta_t, eps_t)
+        # Python scalars: the loop's float arithmetic is several times cheaper.
+        q, logq = [complex(table[m + 1][m]) for m in range(latt.n + 1)], logq.tolist()
+        return lambda m: (q[m], logq[m])
 
-    return complex(_lattice_psi(latt, sv.xi, sv.upsilon, t, E, ctx, q_of))
+    return complex(_lattice_psi(latt, sv.xi, sv.upsilon, t, E, ctx, q_columns))
 
 
 def lattice_spectrum(
@@ -628,9 +659,9 @@ def lattice_spectrum(
     gaussian_multipole_current call over all detunings, and the weighted
     components are summed by logsumexp along them.
     """
-    w = lattice_coeffs(latt)
+    w = latt._coeffs
     a = latt.width
-    log_sum = _log_weight_norm(w, a)
+    log_sum = latt._log_sum
     detunings = np.asarray(detunings, dtype=float).ravel()
     E = 2.0 * math.pi * ctx.hbar * detunings
     logs = []

@@ -22,7 +22,6 @@ from .specfun import (
     _airy_ode_derivs,
     _airy_zeros,
     _double_factorial,
-    airy_derivs_upto,
     airy_unrestricted,
 )
 from .harmonics import (
@@ -192,8 +191,10 @@ def _far_field(indices, x, y, z: float, E: float, ctx: PhysicalContext):
     """({idx: A_lm}, alpha_+) at lateral offsets (x, y) on the plane z.
 
     A_lm = (2bF)^l i^l (-1)^m K_lm(X, Y, i d/dalpha) Ai(alpha_-), with
-    X = bF x / sqrt(-alpha_+) and Y likewise, over one table Ai^(0..lmax)(alpha_-):
-    airy_derivs_upto for a point (floats), one _ai_grid call for a plane (arrays).
+    X = bF x / sqrt(-alpha_+) and Y likewise, over one table Ai^(0..lmax)(alpha_-)
+    closed by the Airy equation from Ai, Ai': airy_unrestricted for a point
+    (floats), one _ai_grid call for a plane (arrays).  Both give Ai = 0 where
+    it underflows, so a point and its pixel agree at any alpha_-.
     """
     plane = isinstance(x, np.ndarray)
     sqrt = np.sqrt if plane else math.sqrt
@@ -211,7 +212,8 @@ def _far_field(indices, x, y, z: float, E: float, ctx: PhysicalContext):
             f"{ap.max():.3g} at z={z:g} m, E={E:g} J"
         )
     lmax = max([idx.l for idx in indices])
-    derivs = _airy_ode_derivs(lmax, *_ai_grid(am), am) if plane else airy_derivs_upto(lmax, am)
+    ai = _ai_grid(am) if plane else airy_unrestricted(am)[:2]
+    derivs = _airy_ode_derivs(lmax, *ai, am)
     sa = sqrt(-ap)
     X, Y = bf * x / sa, bf * y / sa
     del lat2, rnorm, am, sa  # a plane's amplitudes reuse this memory: fewer page faults

@@ -182,6 +182,25 @@ def test_q_table_grid_matches_scalar():
             assert got == pytest.approx(q(k, a), rel=1e-11)
 
 
+def test_q_table_grid_array_eps_matches_float_calls_bit_for_bit():
+    # eps broadcasts with rho and zeta: one point at many energies (as a
+    # lattice beam uses it) and radii times energies.  Energies span the
+    # Taylor window, both asymptotic sides and the lattice's eps_t ~ 1.9e4.
+    rng = np.random.default_rng(22)
+    eps = np.concatenate([rng.uniform(-40.0, 40.0, 40), rng.uniform(1.8e4, 2.0e4, 8)])
+    tab, ls = q_table_scaled_grid(9, 1.7, 0.4, eps)
+    rho = np.array([[0.2], [3.0], [90.0], [1.9e4]])
+    tab2, ls2 = q_table_scaled_grid(4, rho, 1.9e4 - 2.0, eps, kmin=-5)
+    assert tab[9].shape == eps.shape and tab2[4].shape == (4, eps.size)
+    for j, e in enumerate(eps.tolist()):
+        one, ls1 = q_table_scaled_grid(9, 1.7, 0.4, e)
+        assert ls[j] == ls1
+        assert all(tab[k][j] == one[k] for k in range(-3, 10))
+        col, lsc = q_table_scaled_grid(4, rho, 1.9e4 - 2.0, e, kmin=-5)
+        assert np.array_equal(ls2[:, j : j + 1], lsc)
+        assert all(np.array_equal(tab2[k][:, j : j + 1], col[k]) for k in range(-5, 5))
+
+
 def test_q_origin_asymptote():
     # Re Q_k ~ (2k-3)!!/(2^k pi rho^(2k-1)) as rho -> 0.
     assert q_asym_origin(1, 0.5) == pytest.approx(1.0 / (2.0 * math.pi * 0.5), rel=1e-15)

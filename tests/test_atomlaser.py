@@ -10,7 +10,7 @@ import scipy.integrate
 from scipy.special import gammaln, logsumexp
 
 from ballisticwaves import atomlaser
-from ballisticwaves.airyq import q_table_scaled_grid
+from ballisticwaves.airyq import QArgs, q_scaled, q_table_scaled_grid
 from ballisticwaves.atomlaser import (
     LATTICE_N_MAX,
     GaussianSource,
@@ -35,7 +35,12 @@ from ballisticwaves.atomlaser import (
     vortex_current_1m,
 )
 from ballisticwaves.ballistic import DetectorGrid, G_EARTH, RB87_MASS, green_lm
-from ballisticwaves.errors import DomainError, StabilityWarning, UnsupportedOrderError
+from ballisticwaves.errors import (
+    DomainError,
+    SingularityError,
+    StabilityWarning,
+    UnsupportedOrderError,
+)
 from ballisticwaves.harmonics import MultipoleIndex
 
 CTX = rb87_context()
@@ -269,7 +274,7 @@ def _lattice_spectrum_per_detuning(latt, detunings):
     detuning and component, summed in log space per detuning."""
     w = lattice_coeffs(latt)
     a = latt.width
-    log_sum = atomlaser._log_weight_norm(w, a)
+    log_sum = latt._log_sum
     out = []
     for dnu in detunings:
         E = _detuning_energy(float(dnu))
@@ -421,20 +426,25 @@ def test_detector_grids_built_per_radius_equal_per_pixel_tables():
 
         _, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, latt.width)
 
-        def q_of(k, eps_t):
-            table, logq = q_table_scaled_grid(k, rho_t, zeta_t, eps_t)
-            return table[k], logq
+        def q_columns(eps_t):
+            def column(m):
+                table, logq = q_table_scaled_grid(m + 1, rho_t, zeta_t, eps_t[m])
+                return table[m + 1], logq
 
-        want = np.abs(atomlaser._lattice_psi(latt, xi, ups, 0.3e-3, E, CTX, q_of)) ** 2
+            return column
+
+        want = np.abs(atomlaser._lattice_psi(latt, xi, ups, 0.3e-3, E, CTX, q_columns)) ** 2
         got = lattice_beam_grid(latt, grid, 0.3e-3, E, CTX).values
         assert np.array_equal(got, want)
 
 
 def test_lattice_beam_grid_matches_scalar_everywhere():
-    # The grid takes |x| >= 15 Airy values from the asymptotic series, the
-    # scalar lattice_beam from scipy: an independent check of every pixel.  At
-    # alpha_- ~ 1.9e4 one ulp of the exponent (2/3) x^(3/2) is 2e-10 of the
-    # density, so this also needs both paths to round that exponent alike.
+    # Both paths take their Q values from q_table_scaled_grid: the plane from
+    # one table per component over its distinct radii, the point from one
+    # table over every component energy.  This checks the per-radius gather
+    # and the summation order of every pixel; the point's own Q values are
+    # checked against independent float tables below.  At alpha_- ~ 1.9e4 one
+    # ulp of the log exponent (about 2.6e6) is 5e-10 of the density.
     latt = _small_lattice(n_shells=2)
     E = _detuning_energy(5000.0)
     grid = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 33, 33)
@@ -446,6 +456,58 @@ def test_lattice_beam_grid_matches_scalar_everywhere():
     ])
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-11 * want.max()
+
+
+def _lattice_beam_per_component(latt, r, t, E):
+    """lattice_beam from one float q_scaled table per (m, m) component: the
+    scalar Airy values and the float recursion, no code shared with
+    q_table_scaled_grid, summed in the same order as lattice_beam."""
+    sv = scaled_vars(r, E, CTX, latt.width)
+
+    def q_columns(eps_t):
+        return lambda m: q_scaled(m + 1, QArgs(sv.rho_t, sv.zeta_t, float(eps_t[m])))
+
+    return complex(atomlaser._lattice_psi(latt, sv.xi, sv.upsilon, t, E, CTX, q_columns))
+
+
+def test_lattice_beam_matches_per_component_float_tables():
+    # Random points of the criterion-10 plane and below it, at t != 0, and the
+    # axis, where only m = 0 survives (zero for the centred lattice).
+    centred = _small_lattice(n_shells=2)
+    shifted = VortexLattice(
+        tuple(v + (3e-6 + 2e-6j) for v in centred.positions),
+        centred.rot, centred.width, N_ATOMS, RABI,
+    )
+    rng = np.random.default_rng(2211)
+    points = [((0.0, 0.0, 177e-6), 0.4e-3, _detuning_energy(5000.0))]
+    for _ in range(30):
+        r = (*rng.uniform(-30e-6, 30e-6, 2), rng.uniform(150e-6, 400e-6))
+        points.append((tuple(map(float, r)), float(rng.uniform(0.1e-3, 1e-3)),
+                       _detuning_energy(rng.uniform(3e3, 7e3))))
+    for latt in (centred, shifted, _small_lattice(n_shells=3)):
+        for r, t, E in points:
+            got = lattice_beam(latt, r, t, E, CTX)
+            want = _lattice_beam_per_component(latt, r, t, E)
+            assert abs(got - want) <= 1e-12 * abs(want), (r, t, E)
+    assert lattice_beam(centred, points[0][0], 0.4e-3, points[0][2], CTX) == 0.0
+    assert lattice_beam(shifted, points[0][0], 0.4e-3, points[0][2], CTX) != 0.0
+
+
+def test_lattice_beam_raises_at_the_virtual_source():
+    # rho_t = 0 on the axis at z = -2 alpha^4 / bF, where Q_k, k >= 1, diverges;
+    # step z by ulps until zeta_t = bF z + 2 alpha^4 is exactly zero.
+    latt = _small_lattice()
+    E = _detuning_energy(5000.0)
+    alpha = CTX.beta_f * latt.width
+    z = -2.0 * alpha**4 / CTX.beta_f
+    for _ in range(64):
+        zeta_t = scaled_vars((0.0, 0.0, z), E, CTX, latt.width).zeta_t
+        if zeta_t == 0.0:
+            break
+        z = math.nextafter(z, -math.inf if zeta_t > 0.0 else math.inf)
+    assert scaled_vars((0.0, 0.0, z), E, CTX, latt.width).rho_t == 0.0
+    with pytest.raises(SingularityError):
+        lattice_beam(latt, (0.0, 0.0, z), 0.0, E, CTX)
 
 
 def test_j10_cancellation_warns():

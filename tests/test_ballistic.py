@@ -455,6 +455,22 @@ def test_profile_presets_match_matrix_sum():
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_far_field_point_matches_pixel_beyond_airy_window():
+    # At z = 5 cm, x = 2 mm, alpha_- = 282: Ai(282) ~ e^(-3158) underflows to 0.0.
+    # The point and the image pixel take Ai, Ai' from the same unrestricted
+    # kernel, so the point gives the pixel's 0.0 and raises no DomainError.
+    grid = DetectorGrid(0.05, np.array([0.0, 1e-3, 2e-3]), np.array([0.0]))
+    r = (2e-3, 0.0, grid.z)
+    bf = CTX.beta_f
+    alpha_minus = CTX.eps(E0) + bf * (math.hypot(*r) - grid.z)
+    assert alpha_minus == pytest.approx(282.0, abs=1.0)
+    image = photodetachment_profile("pi", grid, E0, CTX).values
+    assert image[0, 2] == 0.0 and image[0, 0] > 0.0
+    a, b = MultipoleIndex(1, 0), MultipoleIndex(1, 0)
+    assert current_density_z_far(a, b, r, E0, CTX) == 0.0
+    assert green_lm_far(MultipoleIndex(1, 1), r, E0, CTX) == 0.0
+
+
 def test_tilt_profile_is_mean_of_pi_and_sigma():
     grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
     v_pi = photodetachment_profile("pi", grid, E0, CTX).values
