@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airyq import QArgs, _q_table_scaled, q_table_scaled_grid, qi_scaled
+from .airyq import QArgs, _q_diagonal_blocks, _q_table_scaled, q_table_scaled_grid, qi_scaled
 from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext
 from .errors import (
     DomainError,
@@ -136,6 +136,28 @@ class VortexLattice:
         return coeffs
 
     @functools.cached_property
+    def _components(self):
+        """(m, orders, log_w, unit, slots, (b, j)) over the components m with
+        w_m != 0: m as floats, the Q orders m + 1, log|w_m| + m log a - 0.5
+        _log_sum, w_m / |w_m|, and the row of each in a (b, j) layout, b j >= n + 1,
+        where row i j + jj holds m = jj b + i (the layout of the two-level
+        Horner sum of _lattice_psi)."""
+        a = self.width
+        comps = [(m, wm) for m, wm in enumerate(self._coeffs) if wm != 0.0]
+        ms = [m for m, _ in comps]
+        log_w = [math.log(abs(wm)) + m * math.log(a) - 0.5 * self._log_sum for m, wm in comps]
+        b = math.isqrt(self.n + 1)
+        j = -(-(self.n + 1) // b)
+        return (
+            np.array(ms, dtype=float),
+            tuple(m + 1 for m in ms),
+            np.array(log_w),
+            np.array([wm / abs(wm) for _, wm in comps]),
+            np.array([m % b * j + m // b for m in ms]),
+            (b, j),
+        )
+
+    @functools.cached_property
     def _log_sum(self) -> float:
         """log of sum_k k! |w_k|^2 a^{2k}, built once per lattice."""
         a = self.width
@@ -167,7 +189,11 @@ def scaled_vars(r, E: float, ctx: PhysicalContext, a: float) -> ScaledVars:
 def log_virtual_strength(
     n_atoms: float, rabi: float, a: float, eps_t: float, ctx: PhysicalContext
 ) -> float:
-    """log Lambda(eps_t); Lambda is strongly energy- and size-dependent."""
+    """log Lambda(eps_t); Lambda is strongly energy- and size-dependent.
+
+    eps_t is a float or an array (one energy per lattice component); each
+    element takes the float call's operations in the same order.
+    """
     alpha = ctx.beta_f * a
     return (
         0.5 * math.log(n_atoms)
@@ -449,17 +475,14 @@ def farfield_density(
 
 
 def _grid_scaled_vars(grid: DetectorGrid, ctx: PhysicalContext, a: float):
-    """alpha, xi, upsilon, zeta_t and the distinct rho_t with the inverse index
-    that scatters them back to the pixels: on a detector plane zeta_t is one
-    number, so every Q table depends on rho_t alone and is built once per radius."""
+    """alpha, xi, upsilon and rho_t at every pixel, and zeta_t: on a detector
+    plane zeta_t is one number, so every Q table depends on rho_t alone."""
     bf = ctx.beta_f
     alpha = bf * a
     xi = bf * grid.x[None, :] + np.zeros((len(grid.y), 1))
     ups = bf * grid.y[:, None] + np.zeros((1, len(grid.x)))
     zeta_t = bf * grid.z + 2.0 * alpha**4
-    rho_t = np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
-    rho_u, inv = np.unique(rho_t, return_inverse=True)
-    return alpha, xi, ups, zeta_t, rho_u, inv.reshape(rho_t.shape)
+    return alpha, xi, ups, zeta_t, np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
 
 
 def beam_density_grid(
@@ -482,7 +505,8 @@ def beam_density_grid(
     else:
         weights = {src.idx: 1.0}
     a = src.width
-    alpha, xi, ups, zeta_t, rho_u, inv = _grid_scaled_vars(grid, ctx, a)
+    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
+    rho_u, inv = np.unique(rho_t, return_inverse=True)  # one table per distinct radius
     eps_t = ctx.eps(E) + 4.0 * alpha**4
     logl = log_virtual_strength(src.n_atoms, src.rabi, a, eps_t, ctx)
     kmax = max(1 + idx.l for idx in weights)
@@ -498,23 +522,16 @@ def lattice_beam_grid(
 ) -> DetectorGrid:
     """Beam density of the rotating lattice on a detector plane (vectorized).
 
-    Per-m angular momentum components are evaluated over the whole grid, each
-    from one Q table on the distinct radii, and combined in log space with a
-    streaming elementwise rescaling, keeping memory linear in the grid size.
-    Non-finite values are not masked: they reach the caller as they arise.
+    One Q table serves every angular momentum component on the distinct
+    radii, and the components' weights are formed once per distinct (|u|,
+    rho_t) pair; see _lattice_psi.  Both work in blocks, so the working memory
+    beyond the per-pixel arrays stays about 2 MB whatever the plane.
+    Non-finite values are not masked: they reach the caller as they arise
+    (inf near the virtual source, where the beam overflows; lattice_beam
+    gives the same there).
     """
-    alpha, xi, ups, zeta_t, rho_u, inv = _grid_scaled_vars(grid, ctx, latt.width)
-
-    def q_columns(eps_t):
-        # One table per component: all components at once would hold
-        # n + 1 energies times n + 5 orders per radius.
-        def column(m):
-            table, logq = q_table_scaled_grid(m + 1, rho_u, zeta_t, eps_t[m])
-            return table[m + 1][inv], logq[inv]
-
-        return column
-
-    psi = _lattice_psi(latt, xi, ups, t, E, ctx, q_columns)
+    _, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, latt.width)
+    psi = _lattice_psi(latt, xi, ups, zeta_t, rho_t, t, E, ctx)
     return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2)
 
 
@@ -575,50 +592,107 @@ def lattice_norm(latt: VortexLattice, a_z: float | None = None) -> float:
     )
 
 
-def _lattice_psi(
-    latt: VortexLattice, xi, ups, t: float, E: float, ctx: PhysicalContext, q_columns
-):
-    """Lattice beam wave function at lateral (xi, upsilon), floats or arrays.
+#: Distinct radii per block of the lattice kernel, and pixels per block of its
+#: sums: a block's Airy values, Q rows, weights and partial sums stay under
+#: about 2 MB for 37 vortices.
+_LATTICE_RADII = 64
+_LATTICE_PIXELS = 512
 
-    Component m has magnitude |w_m| a^m Lambda(eps_tm) (2 alpha |u|)^m e^logq
-    (kept in log space) and phase (w_m / |w_m|) e^{i m phi_u} e^{-i e_m t / hbar}
-    times the Q_{m+1} mantissa.  q_columns(eps_t) is called once, with the
-    float array of every eps_tm, m = 0..n; it returns column(m), which gives
-    (Q_{m+1} mantissa at eps_tm, logscale) at the caller's points and is
-    called once per component with w_m != 0, in increasing m.  On the axis
-    u = 0 every m > 0 component is exactly zero.  The components are summed
-    with a running elementwise maximum of their logs, one m at a time, so a
-    point and a plane add them in the same order.
+
+def _lattice_keys(rho, absu):
+    """Pixels grouped by their (rho_t, |u|) pair, the key of the lattice weights.
+
+    Returns (order, key, rho_k, absu_k): the pixels sorted by (rho_t, |u|),
+    the index of each sorted pixel's key, and the keys' rho_t and |u|, sorted.
     """
-    # Point evaluations use math: numpy calls on scalars cost several times more.
-    exp, maximum = (np.exp, np.maximum) if isinstance(xi, np.ndarray) else (math.exp, max)
+    pairs = np.empty(rho.size, dtype=complex)
+    pairs.real, pairs.imag = rho.ravel(), absu.ravel()
+    order = np.argsort(pairs)  # complex sorts by real, then imaginary part
+    del pairs
+    rho, absu = rho.ravel()[order], absu.ravel()[order]
+    new = np.ones(rho.size, dtype=bool)
+    new[1:] = (rho[1:] != rho[:-1]) | (absu[1:] != absu[:-1])
+    return order, np.cumsum(new) - 1, rho[new], absu[new]
+
+
+def _lattice_psi(latt: VortexLattice, xi, ups, zeta_t: float, rho, t: float, E: float,
+                 ctx: PhysicalContext):
+    """Lattice beam wave function at lateral arrays (xi, upsilon) of one height.
+
+    rho is rho_t at each point.  Component m has magnitude |w_m| a^m
+    Lambda(eps_tm) (2 alpha |u|)^m e^logq and phase (w_m / |w_m|)
+    e^{-i e_m t / hbar} e^{i m phi_u} times the Q_{m+1} mantissa.  The Q
+    values come from one table over every component energy and the distinct
+    radii, in blocks of _LATTICE_RADII.  Per (|u|, rho_t) key the log
+    magnitudes are added as lm = const_m + m log(2 alpha |u|) + logq, L is
+    their maximum over m, and W_m = phase_m Q_{m+1} e^{lm - L}; every point
+    is then e^L times the sum over m of W_m (u / |u|)^m, a Horner sum in
+    (u / |u|)^b over Horner sums of b coefficients (see _components), in
+    blocks of _LATTICE_PIXELS.  On the axis u = 0 every m > 0 component is
+    exactly zero.
+
+    Each point's value is computed from its own (xi, upsilon) alone, with
+    elementwise operations on contiguous arrays, so a point and a plane give
+    the same floats there as long as numpy rounds each element of exp, log
+    and complex arithmetic the same at every array length.  numpy 2.4 does
+    on AVX-512 CPUs; a build that does not can move a pixel by about 5e-10
+    of its density, one ulp of its log terms (about 2e6) for 37 vortices.
+    """
     a = latt.width
     alpha = ctx.beta_f * a
-    log_sum = latt._log_sum
-    u = xi + 1j * ups
-    absu = abs(u)
-    on_axis = absu == 0.0
-    phase_u = u / (absu + on_axis)  # 0 on the axis, so phase_u^m drops m > 0
-    with np.errstate(divide="ignore"):
-        log2au = np.log(2.0 * alpha * absu)  # -inf on the axis
-    e = [E + m * ctx.hbar * latt.rot for m in range(latt.n + 1)]
-    eps_t = [ctx.eps(e_m) + 4.0 * alpha**4 for e_m in e]
-    column = q_columns(np.array(eps_t))
-    # Start below every finite log: an axis pixel whose only components are
-    # m > 0 stays at this floor with a zero sum, instead of -inf - -inf = nan.
-    lmax, acc = -sys.float_info.max, 0.0
-    for m, wm in enumerate(latt._coeffs):
-        if wm == 0.0:
-            continue
-        qm, logq = column(m)
-        logl = log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_t[m], ctx)
-        const = math.log(abs(wm)) + m * math.log(a) - 0.5 * log_sum + logl
-        lm = const + (m * log2au if m else 0.0) + logq
-        cm = (wm / abs(wm)) * cmath.exp(-1j * e[m] * t / ctx.hbar) * phase_u**m * qm
-        new_max = maximum(lmax, lm)
-        acc = acc * exp(lmax - new_max) + cm * exp(lm - new_max)
-        lmax = new_max
-    return -4.0 * ctx.beta * ctx.beta_f**3 * acc * exp(lmax)
+    ms, orders, log_w, unit, slots, (b, nj) = latt._components
+    e = E + ms * ctx.hbar * latt.rot
+    eps_t = ctx.eps(e) + 4.0 * alpha**4
+    const = log_w + log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_t, ctx)
+    phase = (unit * np.exp(-1j * e * t / ctx.hbar))[:, None]
+    pref = -4.0 * ctx.beta * ctx.beta_f**3
+
+    xi_f, ups_f = xi.ravel(), ups.ravel()
+    order, key, rho_k, absu_k = _lattice_keys(rho, np.abs(xi + 1j * ups))
+    # the distinct radii of the keys, and each key's radius
+    new = np.ones(rho_k.size, dtype=bool)
+    new[1:] = rho_k[1:] != rho_k[:-1]
+    rho_u, key_r = rho_k[new], np.cumsum(new) - 1
+    psi = np.empty(xi.size, dtype=complex)
+    key_start = np.searchsorted(key_r, np.arange(0, rho_u.size + _LATTICE_RADII, _LATTICE_RADII))
+    pix_start = np.searchsorted(key, key_start)
+    blocks = _q_diagonal_blocks(orders, rho_u, zeta_t, eps_t, _LATTICE_RADII)
+    for block, (r0, q, logq) in enumerate(blocks):
+        k0, k1 = key_start[block], key_start[block + 1]
+        kr = key_r[k0:k1] - r0
+        absu = absu_k[k0:k1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mlog = np.multiply.outer(ms, np.log(2.0 * alpha * absu))  # -inf on the axis
+        if ms[0] == 0:
+            mlog[0] = 0.0  # m log(2 alpha |u|) is left out at m = 0, not 0 * -inf
+        lm = const[:, None] + mlog + logq[:, kr]
+        # Start below every finite log: an axis key whose only components are
+        # m > 0 stays at this floor with zero weights, instead of -inf - -inf = nan.
+        top = np.maximum(lm.max(axis=0), -sys.float_info.max)
+        weight = np.zeros((b * nj, k1 - k0), dtype=complex)
+        weight[slots] = phase * q[:, kr] * np.exp(lm - top)
+        scale = np.exp(top)
+        for p0 in range(pix_start[block], pix_start[block + 1], _LATTICE_PIXELS):
+            p1 = min(p0 + _LATTICE_PIXELS, pix_start[block + 1])
+            pix, k = order[p0:p1], key[p0:p1] - k0
+            au = absu[k]
+            phase_u = (xi_f[pix] + 1j * ups_f[pix]) / (au + (au == 0.0))  # 0 on the axis
+            # sum_m W_m p^m = sum_jj p^(b jj) V_jj with V_jj = sum_i W_(jj b + i) p^i:
+            # Horner in p for every V_jj at once, then Horner in p^b, on
+            # contiguous operands only, so one point and a plane round alike.
+            wk = weight[:, k].reshape(b, nj, -1)
+            pj = np.repeat(phase_u[None], nj, axis=0)
+            v = wk[-1]
+            for i in range(b - 2, -1, -1):
+                v = v * pj + wk[i]
+            pb = phase_u
+            for _ in range(b - 1):
+                pb = pb * phase_u
+            acc = v[-1]
+            for jj in range(nj - 2, -1, -1):
+                acc = acc * pb + v[jj]
+            psi[pix] = pref * acc * scale[k]
+    return psi.reshape(xi.shape)
 
 
 def lattice_beam(
@@ -629,23 +703,20 @@ def lattice_beam(
     Coherent sum over angular momentum components m = 0..n, each outcoupled
     at its effective energy E + m hbar Omega_rot; per-m magnitudes are
     combined in log space.  The density profile at time t equals the t = 0
-    profile rotated by Omega_rot * t about the beam axis.  One Q table over
-    the component energies serves every component.  At rho_t = 0 (on the axis
-    at z = -2 alpha^4 / bF) Q_k diverges and SingularityError is raised.
+    profile rotated by Omega_rot * t about the beam axis.  This is a
+    one-pixel call of the lattice_beam_grid kernel: the same floats as that
+    pixel of a plane, inf near the virtual source where the beam overflows.
+    At rho_t = 0 (on the axis at z = -2 alpha^4 / bF) Q_k diverges and
+    SingularityError is raised; a non-finite point or energy raises DomainError.
     """
     sv = scaled_vars(r, E, ctx, latt.width)
     if not math.isfinite(sv.rho_t + sv.eps_t):
         raise DomainError(f"lattice_beam needs a finite point and energy, got r={r}, E={E}")
     if sv.rho_t == 0.0:
         raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
-
-    def q_columns(eps_t):
-        table, logq = q_table_scaled_grid(latt.n + 1, sv.rho_t, sv.zeta_t, eps_t)
-        # Python scalars: the loop's float arithmetic is several times cheaper.
-        q, logq = [complex(table[m + 1][m]) for m in range(latt.n + 1)], logq.tolist()
-        return lambda m: (q[m], logq[m])
-
-    return complex(_lattice_psi(latt, sv.xi, sv.upsilon, t, E, ctx, q_columns))
+    # sv.rho_t rounds as _grid_scaled_vars rounds a pixel's rho_t
+    xi, ups, rho = np.array([sv.xi]), np.array([sv.upsilon]), np.array([sv.rho_t])
+    return complex(_lattice_psi(latt, xi, ups, sv.zeta_t, rho, t, E, ctx)[0])
 
 
 def lattice_spectrum(

@@ -258,3 +258,32 @@ def airy_integral_mp(x: float, dps: int = 30) -> float:
     """Ai_1(x) = int_0^x Ai by mpmath quadrature."""
     with mp.workdps(dps):
         return float(mp.quad(mp.airyai, [0, x]))
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+#: The tests that compare a point with a plane, or the same values computed in
+#: arrays of different lengths, bit for bit need numpy to round each element of
+#: an exp, log, sin, cos or division the same at every array length, and to
+#: divide a complex by a real as a product with the reciprocal.  Both were
+#: verified with numpy 2.4 dispatching to AVX-512 (Skylake-X and later) loops;
+#: they are properties of the numpy build and its SIMD paths, not of the
+#: physics.  On any other numpy or CPU those tests use a stated tolerance.
+BIT_EXACT = np.__version__.startswith("2.4.") and bool(_cpu_features().get("AVX512_SKX"))
+
+
+def assert_same_floats(got, want, tol: float, scale=None) -> None:
+    """got equals want bit for bit where BIT_EXACT holds; elsewhere within
+    tol times scale (default |want|), elementwise."""
+    got, want = np.asarray(got), np.asarray(want)
+    if BIT_EXACT:
+        assert np.array_equal(got, want)
+    else:
+        scale = np.abs(want) if scale is None else scale
+        assert np.all(np.abs(got - want) <= tol * scale)

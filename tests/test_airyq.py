@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ballisticwaves.airyq import (
     EPS0,
+    _q_diagonal_blocks,
     Q_K_MAX,
     Q_NEG_MAX,
     QI_K_MAX,
@@ -29,6 +30,7 @@ from ballisticwaves.airyq import (
     qi_half,
     qi_scaled,
 )
+from ballisticwaves.atomlaser import LATTICE_N_MAX
 from ballisticwaves.errors import (
     DomainError,
     RegimeError,
@@ -199,6 +201,41 @@ def test_q_table_grid_array_eps_matches_float_calls_bit_for_bit():
         col, lsc = q_table_scaled_grid(4, rho, 1.9e4 - 2.0, e, kmin=-5)
         assert np.array_equal(ls2[:, j : j + 1], lsc)
         assert all(np.array_equal(tab2[k][:, j : j + 1], col[k]) for k in range(-5, 5))
+
+
+@pytest.mark.parametrize("n", [0, 7, LATTICE_N_MAX])
+def test_q_diagonal_blocks_match_per_order_tables_bit_for_bit(n):
+    # Row m is Q_{m+1} at eps_m, as a lattice beam of n vortices uses it; the
+    # lattice's energies (eps ~ 1.9e4, alpha_+ ~ -600) and the Taylor window,
+    # over 37 radii in blocks of 16, so two block boundaries are crossed.
+    rng = np.random.default_rng(23)
+    zeta = 9837.0
+    rho = np.sort(np.concatenate([zeta + rng.uniform(0.0, 0.6, 30), rng.uniform(0.2, 30.0, 7)]))
+    eps = np.sort(rng.uniform(1.90e4, 1.91e4, n + 1))
+    eps[::3] = rng.uniform(-20.0, 20.0, eps[::3].size)  # alpha_-+ in the Taylor window
+    orders = list(range(1, n + 2))
+    blocks = list(_q_diagonal_blocks(orders, rho, zeta, eps, 16))
+    assert [start for start, _, _ in blocks] == [0, 16, 32]
+    table = np.concatenate([tab for _, tab, _ in blocks], axis=1)
+    logscale = np.concatenate([ls for _, _, ls in blocks], axis=1)
+    assert table.shape == logscale.shape == (n + 1, rho.size)
+    # Bit for bit where oracles.BIT_EXACT holds, else within 64 ulp of the row.
+    for m, e in enumerate(eps.tolist()):
+        want, ls = q_table_scaled_grid(m + 1, rho, zeta, e)
+        oracles.assert_same_floats(table[m], want[m + 1], 64 * 2.0**-52, np.abs(want[m + 1]).max())
+        oracles.assert_same_floats(logscale[m], ls, 4 * 2.0**-52)
+
+
+def test_q_diagonal_blocks_keep_repeated_orders_and_reject_bad_ones():
+    rho = np.array([1.5, 2.5])
+    eps = np.array([-1.0, 0.5, 0.5, 3.0])
+    (_, table, _), = _q_diagonal_blocks([2, 2, 5, 5], rho, 0.3, eps, 8)
+    for i, (k, e) in enumerate(zip([2, 2, 5, 5], eps.tolist())):
+        want = q_table_scaled_grid(k, rho, 0.3, e)[0][k]
+        oracles.assert_same_floats(table[i], want, 64 * 2.0**-52, np.abs(want).max())
+    for orders in ([0, 1], [3, 2], [Q_K_MAX + 1], []):
+        with pytest.raises(UnsupportedOrderError):
+            next(_q_diagonal_blocks(orders, rho, 0.3, eps[: len(orders)], 8))
 
 
 def test_q_origin_asymptote():

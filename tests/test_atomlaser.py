@@ -2,6 +2,11 @@
 
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -42,6 +47,8 @@ from ballisticwaves.errors import (
     UnsupportedOrderError,
 )
 from ballisticwaves.harmonics import MultipoleIndex
+
+import oracles
 
 CTX = rb87_context()
 N_ATOMS = 1e6
@@ -424,27 +431,26 @@ def test_detector_grids_built_per_radius_equal_per_pixel_tables():
             got = beam_density_grid(src, grid, E, CTX, orientation).values
             assert np.array_equal(got, want)
 
-        _, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, latt.width)
-
-        def q_columns(eps_t):
-            def column(m):
-                table, logq = q_table_scaled_grid(m + 1, rho_t, zeta_t, eps_t[m])
-                return table[m + 1], logq
-
-            return column
-
-        want = np.abs(atomlaser._lattice_psi(latt, xi, ups, 0.3e-3, E, CTX, q_columns)) ** 2
-        got = lattice_beam_grid(latt, grid, 0.3e-3, E, CTX).values
-        assert np.array_equal(got, want)
+        # The lattice weights per (|u|, rho_t) pair, in other blocks of radii
+        # and pixels, must give every pixel exactly what lattice_beam, the
+        # same kernel with that pixel as its own key, gives there.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(atomlaser, "_LATTICE_RADII", 100)
+            mp.setattr(atomlaser, "_LATTICE_PIXELS", 333)
+            got = lattice_beam_grid(latt, grid, 0.3e-3, E, CTX).values
+        psi = np.array([
+            [lattice_beam(latt, (x, y, grid.z), 0.3e-3, E, CTX) for x in grid.x.tolist()]
+            for y in grid.y.tolist()
+        ])
+        want = np.abs(psi) ** 2  # as the plane forms its density
+        oracles.assert_same_floats(got, want, 1e-11, want.max())
 
 
 def test_lattice_beam_grid_matches_scalar_everywhere():
-    # Both paths take their Q values from q_table_scaled_grid: the plane from
-    # one table per component over its distinct radii, the point from one
-    # table over every component energy.  This checks the per-radius gather
-    # and the summation order of every pixel; the point's own Q values are
-    # checked against independent float tables below.  At alpha_- ~ 1.9e4 one
-    # ulp of the log exponent (about 2.6e6) is 5e-10 of the density.
+    # Every pixel of a plane against its point, a one-pixel call of the same
+    # kernel.  The bound needs each pixel to see the log terms of its own |u|:
+    # at alpha_- ~ 1.9e4 one ulp of the log exponent (about 2.6e6) is 5e-10
+    # of the density.
     latt = _small_lattice(n_shells=2)
     E = _detuning_energy(5000.0)
     grid = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 33, 33)
@@ -458,16 +464,82 @@ def test_lattice_beam_grid_matches_scalar_everywhere():
     assert np.max(np.abs(got - want)) <= 1e-11 * want.max()
 
 
+def _lattice_psi_streaming(latt, xi, ups, t, E, q_columns):
+    """Lattice wave function at lateral (xi, upsilon), floats or arrays, summed
+    one component at a time with a running elementwise maximum of the logs.
+
+    q_columns(eps_t) gets the float array of every eps_tm, m = 0..n, and
+    returns column(m), which gives (Q_{m+1} mantissa at eps_tm, logscale) at
+    the points, called once per component with w_m != 0, in increasing m.
+    """
+    exp, maximum = (np.exp, np.maximum) if isinstance(xi, np.ndarray) else (math.exp, max)
+    a = latt.width
+    alpha = CTX.beta_f * a
+    u = xi + 1j * ups
+    absu = abs(u)
+    on_axis = absu == 0.0
+    phase_u = u / (absu + on_axis)  # 0 on the axis, so phase_u^m drops m > 0
+    with np.errstate(divide="ignore"):
+        log2au = np.log(2.0 * alpha * absu)  # -inf on the axis
+    e = [E + m * CTX.hbar * latt.rot for m in range(latt.n + 1)]
+    eps_t = [CTX.eps(e_m) + 4.0 * alpha**4 for e_m in e]
+    column = q_columns(np.array(eps_t))
+    lmax, acc = -sys.float_info.max, 0.0
+    for m, wm in enumerate(lattice_coeffs(latt)):
+        if wm == 0.0:
+            continue
+        qm, logq = column(m)
+        logl = atomlaser.log_virtual_strength(latt.n_atoms, latt.rabi, a, eps_t[m], CTX)
+        const = math.log(abs(wm)) + m * math.log(a) - 0.5 * latt._log_sum + logl
+        lm = const + (m * log2au if m else 0.0) + logq
+        cm = (wm / abs(wm)) * cmath.exp(-1j * e[m] * t / CTX.hbar) * phase_u**m * qm
+        new_max = maximum(lmax, lm)
+        acc = acc * exp(lmax - new_max) + cm * exp(lm - new_max)
+        lmax = new_max
+    return -4.0 * CTX.beta * CTX.beta_f**3 * acc * exp(lmax)
+
+
 def _lattice_beam_per_component(latt, r, t, E):
     """lattice_beam from one float q_scaled table per (m, m) component: the
-    scalar Airy values and the float recursion, no code shared with
-    q_table_scaled_grid, summed in the same order as lattice_beam."""
+    scalar Airy values and the float recursion, no code shared with the
+    lattice kernel's Q rows, summed by _lattice_psi_streaming."""
     sv = scaled_vars(r, E, CTX, latt.width)
 
     def q_columns(eps_t):
         return lambda m: q_scaled(m + 1, QArgs(sv.rho_t, sv.zeta_t, float(eps_t[m])))
 
-    return complex(atomlaser._lattice_psi(latt, sv.xi, sv.upsilon, t, E, CTX, q_columns))
+    return complex(_lattice_psi_streaming(latt, sv.xi, sv.upsilon, t, E, q_columns))
+
+
+def _lattice_plane_per_component(latt, grid, t, E):
+    """lattice_beam_grid from float q_scaled tables per component and distinct
+    radius, summed by _lattice_psi_streaming over the plane's arrays."""
+    _, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, latt.width)
+    rho_u, inv = np.unique(rho_t, return_inverse=True)
+
+    def q_columns(eps_t):
+        def column(m):
+            cells = [q_scaled(m + 1, QArgs(r, zeta_t, float(eps_t[m]))) for r in rho_u.tolist()]
+            return np.array([c[0] for c in cells])[inv], np.array([c[1] for c in cells])[inv]
+
+        return column
+
+    return np.abs(_lattice_psi_streaming(latt, xi, ups, t, E, q_columns)) ** 2
+
+
+def test_lattice_beam_grid_matches_per_component_float_tables():
+    centred = _small_lattice(n_shells=2)
+    shifted = VortexLattice(
+        tuple(v + (3e-6 + 2e-6j) for v in centred.positions),
+        centred.rot, centred.width, N_ATOMS, RABI,
+    )
+    E = _detuning_energy(5000.0)
+    grid = DetectorGrid.centered(177e-6, 60e-6, 60e-6, 33, 33)
+    for latt in (centred, shifted):
+        got = lattice_beam_grid(latt, grid, 0.2e-3, E, CTX).values
+        want = _lattice_plane_per_component(latt, grid, 0.2e-3, E)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
 def test_lattice_beam_matches_per_component_float_tables():
@@ -508,6 +580,68 @@ def test_lattice_beam_raises_at_the_virtual_source():
     assert scaled_vars((0.0, 0.0, z), E, CTX, latt.width).rho_t == 0.0
     with pytest.raises(SingularityError):
         lattice_beam(latt, (0.0, 0.0, z), 0.0, E, CTX)
+
+
+def test_lattice_beam_is_the_one_pixel_plane():
+    # The point is a one-pixel call of the plane's kernel: the same floats as a
+    # one-pixel plane at random points (the point's rho_t rounds as a pixel's),
+    # and, near the virtual source of the 7-vortex lattice (5 um, 5 kHz), where
+    # the beam overflows, the plane's inf rather than an OverflowError.  Every
+    # pixel of larger planes is compared in
+    # test_detector_grids_built_per_radius_equal_per_pixel_tables.
+    latt = _small_lattice()
+    E = _detuning_energy(5000.0)
+
+    def plane(x, y, z, t, n=1):
+        grid = DetectorGrid(z, np.array([x] * n), np.array([y]))
+        return lattice_beam_grid(latt, grid, t, E, CTX).values
+
+    rng = np.random.default_rng(2301)
+    for _ in range(10):
+        x, y = rng.uniform(-30e-6, 30e-6, 2).tolist()
+        z, t = float(rng.uniform(150e-6, 400e-6)), float(rng.uniform(0.0, 1e-3))
+        point = np.abs(np.array([lattice_beam(latt, (x, y, z), t, E, CTX)])) ** 2
+        assert np.array_equal(point, plane(x, y, z, t)[0])
+    z = -2.0 * (CTX.beta_f * latt.width) ** 4 / CTX.beta_f
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = lattice_beam(latt, (1e-6, 0.0, z), 0.0, E, CTX)
+        values = plane(1e-6, 0.0, z, 0.0, n=2)
+    assert values.tolist() == [[math.inf, math.inf]]
+    assert abs(point) == math.inf
+
+
+def test_log_virtual_strength_takes_every_component_energy_at_once():
+    latt = _small_lattice(n_shells=3)
+    alpha = CTX.beta_f * latt.width
+    e = _detuning_energy(5000.0) + np.arange(latt.n + 1.0) * CTX.hbar * latt.rot
+    eps_t = CTX.eps(e) + 4.0 * alpha**4
+    got = atomlaser.log_virtual_strength(latt.n_atoms, latt.rabi, latt.width, eps_t, CTX)
+    want = [atomlaser.log_virtual_strength(latt.n_atoms, latt.rabi, latt.width, v, CTX)
+            for v in eps_t.tolist()]
+    assert got.tolist() == want
+
+
+def test_lattice_plane_memory_is_bounded(tmp_path):
+    # A 513^2 plane of the 37-vortex lattice (criterion 10) in a child process
+    # raises its peak RSS by less than 40 MB over the level after import.
+    script = tmp_path / "plane.py"
+    script.write_text(textwrap.dedent("""
+        import math, resource
+        from ballisticwaves import atomlaser as al
+        from ballisticwaves.ballistic import DetectorGrid
+        ctx = al.rb87_context()
+        latt = al.VortexLattice(al.triangular_vortex_positions(3, 10e-6), 2.0 * math.pi * 250.0,
+                                5e-6, 1e6, 2.0 * math.pi * 100.0)
+        grid = DetectorGrid.centered(177e-6, 90e-6, 90e-6, 513, 513)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        al.lattice_beam_grid(latt, grid, 0.0, 2.0 * math.pi * ctx.hbar * 5000.0, ctx)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+    """))
+    src = pathlib.Path(atomlaser.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert float(out.stdout) < 40.0
 
 
 def test_j10_cancellation_warns():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ai_zeros, bi_zeros
 
-from ballisticwaves import _airy_table
+from ballisticwaves import _airy_table, specfun
 from ballisticwaves.errors import DomainError, UnsupportedOrderError
 from ballisticwaves.specfun import (
     airy,
@@ -153,6 +153,32 @@ def test_airy_scalar_matches_grid():
     np.testing.assert_allclose(scalar[4], grid[4], rtol=1e-14, atol=0.0)
     plain = np.array([list(airy_unrestricted(v)) for v in x[x <= 0.0].tolist()]).T
     assert np.array_equal(plain, scalar[:4, x <= 0.0])
+
+
+def test_airy_series_truncation_matches_all_terms(monkeypatch):
+    # Array sums start at the first row that can still reach 2^-60 at each point
+    # (two of nine rows at |x| ~ 2e4).  Over |x| in [15, 2e4], on both sides, in
+    # blocks of one magnitude and of mixed magnitudes, they stay within 5e-16
+    # of the 18-term sums, and a point gives the same bits in either block
+    # (where oracles.BIT_EXACT holds; 2 ulp elsewhere).
+    rng = np.random.default_rng(31)
+    ax = np.sort(np.exp(rng.uniform(math.log(15.0), math.log(2e4), 20000)))
+    mixed = rng.permutation(ax.size)
+    for sign in (1.0, -1.0):
+        x = sign * ax
+        got = np.concatenate([specfun._airy_asymptotic(b) for b in np.array_split(x, 250)], axis=1)
+        again = np.empty_like(got)
+        for b in np.array_split(mixed, 250):
+            again[:, b] = specfun._airy_asymptotic(x[b])
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_ASYM_REACH", np.full(specfun._ASYM_REACH.shape, math.inf))
+            full = np.concatenate([specfun._airy_asymptotic(b) for b in np.array_split(x, 50)],
+                                  axis=1)
+        size = np.vstack([_local_size(x, full[:4]), full[4]])
+        oracles.assert_same_floats(again, got, 2 * 2.0**-52, size)
+        assert np.array_equal(got[4], full[4])
+        assert np.max(np.abs(got[:4] - full[:4]) / _local_size(x, full[:4])) <= 5e-16
+    assert specfun._ASYM_REACH.size == specfun._ASYM_COEFFS.shape[0] - 1
 
 
 def test_airy_window_is_continuous_at_centre_boundaries():
