@@ -3,10 +3,10 @@
 A weakly rf-coupled Bose-Einstein condensate acts as a Gaussian source of
 matter waves falling in the gravitational field.  In the far field the
 Gaussian source maps onto a displaced virtual point source of strength
-Lambda, so beams and outcoupling rates reduce to the same Q/Qi machinery as
-point multipole sources, evaluated at shifted (tilde) variables.  Vortex
-states carry angular momentum into the beam; a rotating vortex lattice
-decomposes into circular (m, m) components with polynomial weights.
+Lambda: a beam is Lambda times the point multipole wave of ballistic._wave at
+the shifted (tilde) variables, and outcoupling rates are Qi values there.
+Vortex states carry angular momentum into the beam; a rotating vortex
+lattice decomposes into circular (m, m) components with polynomial weights.
 
 All compositions of the huge factors Lambda ~ e^(2 alpha^2 eps_t) with the
 exponentially small Q/Qi values are performed in log space.
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airyq import QArgs, _q_diagonal_blocks, _q_table_scaled, q_table_scaled_grid, qi_scaled
-from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext
+from .airyq import _q_diagonal_blocks, qi_scaled
+from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, _wave
 from .errors import (
     DomainError,
     RegimeError,
@@ -213,7 +213,38 @@ def virtual_strength(src: GaussianSource, E: float, ctx: PhysicalContext) -> flo
         return math.inf
 
 
-def _warn_inside(src: GaussianSource, r) -> None:
+def _beam(weights, src: GaussianSource, x, y, z: float, E: float, ctx: PhysicalContext):
+    """(psi, logscale) of the beam sum_w w psi_w at lateral x, y (floats or arrays)
+    on the height z.  An l <= 1 beam is a point multipole wave from the virtual
+    point xi = bF x, upsilon = bF y, zeta_t = bF z + 2 alpha^4, eps_t = eps + 4 alpha^4:
+      psi_00 = 2 sqrt(pi) Lambda G_00,  psi_1+-1 = -sqrt(8 pi/3) (alpha/bF) Lambda G_1+-1,
+      psi_10 = -sqrt(8 pi/3) (alpha/bF) Lambda G_10 + 8 sqrt(2 pi) alpha^3 Lambda G_00,
+    the last term the energy derivative d/dz' = -d/dz + F d/dE.  One _wave call
+    serves all weights: several at a point get one amplitude element each, weighted
+    after, so a sum of beams rounds as its single-source calls; else they are folded
+    into the amplitudes, at less cost.
+    """
+    bf = ctx.beta_f
+    alpha = bf * src.width
+    eps_t = ctx.eps(E) + 4.0 * alpha**4
+    amps: dict[MultipoleIndex, np.ndarray] = {}
+    for i, idx in enumerate(weights):
+        amp = {idx: -math.sqrt(8.0 * math.pi / 3.0) * alpha if idx.l else 2.0 * math.sqrt(math.pi)}
+        if idx == MultipoleIndex(1, 0):
+            amp[MultipoleIndex(0, 0)] = 8.0 * math.sqrt(2.0 * math.pi) * alpha**3
+        for jdx, c in amp.items():
+            amps.setdefault(jdx, np.zeros(len(weights)))[i] = c
+    w = list(weights.values())
+    fold = len(w) == 1 or np.ndim(x) or np.ndim(y)
+    if fold:
+        amps = {jdx: float(np.dot(w, a)) for jdx, a in amps.items()}
+    psi, _, logq = _wave(amps, (bf * x, bf * y, bf * z + 2.0 * alpha**4), eps_t)
+    psi = psi if fold else np.dot(w, psi)
+    logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, eps_t, ctx)
+    return -4.0 * ctx.beta * bf**3 * psi, logl + logq
+
+
+def _beam_point(weights, src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     if math.sqrt(sum(float(c) ** 2 for c in r)) < 3.0 * src.width:
         warnings.warn(
             "evaluation point lies within 3 source widths of the condensate; "
@@ -221,56 +252,22 @@ def _warn_inside(src: GaussianSource, r) -> None:
             StabilityWarning,
             stacklevel=3,
         )
-
-
-def _beam_mantissa(weights: dict[MultipoleIndex, float], table, alpha, xi, ups, zeta_t):
-    """sum_w w psi_lm / [beta (bF)^3 Lambda(eps_t) e^logq] over a Q mantissa table.
-
-    psi_00   = -4 Q_1,
-    psi_10   =  4 sqrt(2) alpha [2 zeta_t Q_2 - 4 alpha^2 Q_1 + Q_0],
-    psi_1+-1 = -+ 8 alpha (xi +- i upsilon) Q_2.
-    The table and the coordinates may be floats or arrays.
-    """
-    total = 0.0
-    for idx, w in weights.items():
-        if idx.l == 0:
-            psi = -4.0 * table[1]
-        elif idx.m == 0:
-            bracket = 2.0 * zeta_t * table[2] - 4.0 * alpha**2 * table[1] + table[0]
-            psi = 4.0 * math.sqrt(2.0) * alpha * bracket
-        else:
-            psi = -idx.m * 8.0 * alpha * (xi + 1j * idx.m * ups) * table[2]
-        total = total + w * psi
-    return total
-
-
-def _beam_psi(weights, src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
-    _warn_inside(src, r)
-    sv = scaled_vars(r, E, ctx, src.width)
-    logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, sv.eps_t, ctx)
-    kmax = max(1 + idx.l for idx in weights)
-    table, logq = _q_table_scaled(kmax, QArgs(sv.rho_t, sv.zeta_t, sv.eps_t))
-    mant = _beam_mantissa(weights, table, sv.alpha, sv.xi, sv.upsilon, sv.zeta_t)
-    return ctx.beta * ctx.beta_f**3 * mant * math.exp(logl + logq)
+    psi, logscale = _beam(weights, src, *(float(c) for c in r), E, ctx)
+    return complex(psi * math.exp(logscale))
 
 
 def beam_psi_00(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
-    """Beam wave function of the vortex-free Gaussian source.
-
-    psi = -4 beta (beta F)^3 Lambda(eps_t) Q_1(rho_t, zeta_t; eps_t).
-    """
-    return _beam_psi({MultipoleIndex(0, 0): 1.0}, src, r, E, ctx)
+    """Beam wave function of the vortex-free Gaussian source, 2 sqrt(pi) Lambda(eps_t)
+    G_00 at the virtual point (= -4 beta (beta F)^3 Lambda Q_1(rho_t, zeta_t; eps_t))."""
+    return _beam_point({MultipoleIndex(0, 0): 1.0}, src, r, E, ctx)
 
 
 def beam_psi_1m(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
-    """Beam wave function of an l = 1 Gaussian multipole source.
-
-    psi_10   =  4 sqrt(2) beta (bF)^3 alpha Lambda [2 zeta_t Q_2 - 4 alpha^2 Q_1 + Q_0],
-    psi_1+-1 = -+ 8 beta (bF)^3 alpha Lambda (xi +- i upsilon) Q_2.
-    """
+    """Beam wave function of an l = 1 Gaussian multipole source, the virtual point
+    multipole wave of _beam (psi_1+-1 = -+ 8 beta (bF)^3 alpha Lambda (xi +- i upsilon) Q_2)."""
     if src.idx.l != 1:
         raise DomainError(f"beam_psi_1m requires an l = 1 source, got l={src.idx.l}")
-    return _beam_psi({src.idx: 1.0}, src, r, E, ctx)
+    return _beam_point({src.idx: 1.0}, src, r, E, ctx)
 
 
 _PERP_WEIGHTS = {
@@ -293,7 +290,7 @@ def perp_vortex_source(src: GaussianSource) -> dict[MultipoleIndex, float]:
 
 def beam_psi_perp(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     """Beam wave function of a vortex perpendicular to the force."""
-    return _beam_psi(perp_vortex_source(src), src, r, E, ctx)
+    return _beam_point(perp_vortex_source(src), src, r, E, ctx)
 
 
 def _exp(x):
@@ -430,7 +427,7 @@ def farfield_density(
     mode "closed-form" evaluates the asymptotic Gaussian envelope times the
     modulation factor f_11 (parallel vortex) or f_perp (perpendicular);
     "virtual-source" squares the exact beam wave function of the displaced
-    virtual point source (the Q bracket shared with beam_density_grid).
+    virtual point source (beam_density_grid, the (1, 1) source).
     Any other mode raises DomainError.
     """
     if orientation not in ("parallel", "perpendicular"):
@@ -474,17 +471,6 @@ def farfield_density(
     return DetectorGrid(grid.z, grid.x, grid.y, values)
 
 
-def _grid_scaled_vars(grid: DetectorGrid, ctx: PhysicalContext, a: float):
-    """alpha, xi, upsilon and rho_t at every pixel, and zeta_t: on a detector
-    plane zeta_t is one number, so every Q table depends on rho_t alone."""
-    bf = ctx.beta_f
-    alpha = bf * a
-    xi = bf * grid.x[None, :] + np.zeros((len(grid.y), 1))
-    ups = bf * grid.y[:, None] + np.zeros((1, len(grid.x)))
-    zeta_t = bf * grid.z + 2.0 * alpha**4
-    return alpha, xi, ups, zeta_t, np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
-
-
 def beam_density_grid(
     src: GaussianSource,
     grid: DetectorGrid,
@@ -492,11 +478,12 @@ def beam_density_grid(
     ctx: PhysicalContext,
     orientation: str | None = None,
 ) -> DetectorGrid:
-    """Beam density |psi|^2 on a detector plane, evaluated grid-vectorized.
+    """Beam density |psi|^2 on a detector plane: the point multipole wave of the
+    virtual source (_beam), one Q table entry per distinct radius of the plane.
 
-    Handles the s-wave Gaussian source (src.idx = (0, 0)), the single
-    parallel vortex (l = 1 with m = +-1 or m = 0), and orientation
-    "perpendicular" for the x-axis vortex superposition.
+    Handles the s-wave Gaussian source (src.idx = (0, 0)), the single parallel
+    vortex (l = 1 with m = +-1 or m = 0), and orientation "perpendicular" for
+    the x-axis vortex superposition; l >= 2 raises DomainError.
     """
     if orientation == "perpendicular":
         weights = _PERP_WEIGHTS
@@ -504,17 +491,8 @@ def beam_density_grid(
         raise DomainError(f"beam_density_grid requires l <= 1, got l={src.idx.l}")
     else:
         weights = {src.idx: 1.0}
-    a = src.width
-    alpha, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, a)
-    rho_u, inv = np.unique(rho_t, return_inverse=True)  # one table per distinct radius
-    eps_t = ctx.eps(E) + 4.0 * alpha**4
-    logl = log_virtual_strength(src.n_atoms, src.rabi, a, eps_t, ctx)
-    kmax = max(1 + idx.l for idx in weights)
-    table, logq = q_table_scaled_grid(kmax, rho_u, zeta_t, eps_t)
-    table, logq = {k: table[k][inv] for k in range(kmax + 1)}, logq[inv]
-    mant = ctx.beta * ctx.beta_f**3 * _beam_mantissa(weights, table, alpha, xi, ups, zeta_t)
-    dens = np.abs(mant) ** 2 * np.exp(2.0 * (logl + logq))
-    return DetectorGrid(grid.z, grid.x, grid.y, dens)
+    psi, log = _beam(weights, src, grid.x[None, :], grid.y[:, None], grid.z, E, ctx)
+    return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2 * np.exp(2.0 * log))
 
 
 def lattice_beam_grid(
@@ -530,7 +508,11 @@ def lattice_beam_grid(
     (inf near the virtual source, where the beam overflows; lattice_beam
     gives the same there).
     """
-    _, xi, ups, zeta_t, rho_t = _grid_scaled_vars(grid, ctx, latt.width)
+    bf = ctx.beta_f
+    xi = bf * grid.x[None, :] + np.zeros((len(grid.y), 1))
+    ups = bf * grid.y[:, None] + np.zeros((1, len(grid.x)))
+    zeta_t = bf * grid.z + 2.0 * (bf * latt.width) ** 4
+    rho_t = np.sqrt(xi * xi + ups * ups + zeta_t * zeta_t)
     psi = _lattice_psi(latt, xi, ups, zeta_t, rho_t, t, E, ctx)
     return DetectorGrid(grid.z, grid.x, grid.y, np.abs(psi) ** 2)
 
@@ -714,7 +696,7 @@ def lattice_beam(
         raise DomainError(f"lattice_beam needs a finite point and energy, got r={r}, E={E}")
     if sv.rho_t == 0.0:
         raise SingularityError("Q_k diverges at rho = 0 for k >= 1")
-    # sv.rho_t rounds as _grid_scaled_vars rounds a pixel's rho_t
+    # sv.rho_t rounds as lattice_beam_grid rounds a pixel's rho_t
     xi, ups, rho = np.array([sv.xi]), np.array([sv.upsilon]), np.array([sv.rho_t])
     return complex(_lattice_psi(latt, xi, ups, sv.zeta_t, rho, t, E, ctx)[0])
 

@@ -10,12 +10,13 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airyq import QArgs, _q_table_scaled, q, q_table_scaled_grid, qi
+from .airyq import QArgs, _q_table_scaled, q_table_scaled_grid, qi
 from .errors import DomainError, RegimeError, SingularityError, UnsupportedOrderError
 from .specfun import (
     _ai_grid,
@@ -59,12 +60,13 @@ class PhysicalContext:
         if self.mass <= 0 or self.force <= 0 or self.hbar <= 0:
             raise DomainError("mass, force and hbar must all be positive")
 
-    @property
+    @functools.cached_property
     def beta(self) -> float:
-        """Characteristic inverse energy (M / 4 hbar^2 F^2)^(1/3), in 1/J."""
+        """Characteristic inverse energy (M / 4 hbar^2 F^2)^(1/3), in 1/J; computed
+        once per context (the instance dict is outside the frozen fields)."""
         return (self.mass / (4.0 * self.hbar**2 * self.force**2)) ** (1.0 / 3.0)
 
-    @property
+    @functools.cached_property
     def beta_f(self) -> float:
         """Inverse length scale beta*F, in 1/m."""
         return self.beta * self.force
@@ -117,67 +119,81 @@ class DetectorGrid:
 
 def green_swave(r, r_src, E: float, ctx: PhysicalContext) -> complex:
     """Uniform-field Green function G(r, r'; E) for a unit point source at r'."""
-    d = np.asarray(r, dtype=float) - np.asarray(r_src, dtype=float)
-    if not np.any(d):
-        raise SingularityError("Green function evaluated at the source point")
-    e_eff = E + ctx.force * float(np.asarray(r_src, dtype=float)[2])
-    a = ctx.qargs(d, e_eff)
-    return -4.0 * ctx.beta * ctx.beta_f**3 * q(1, a)
+    src = SourceSuperposition({MultipoleIndex(0, 0): math.sqrt(4.0 * math.pi)}, E, tuple(r_src))
+    return _green_sum(src, r, ctx)[0]
 
 
-def _wave(amplitudes, r, E: float, ctx: PhysicalContext):
-    """psi = sum lambda_lm G_lm(r; E) and its Cartesian gradient, from one Q table.
+def _wave(amplitudes, p, eps: float, grad: bool = False):
+    """(psi, grad psi, logscale) of psi = sum lambda_lm g_lm(p; eps), from one Q table.
 
-    G_lm = -4 beta bF^(l+3) sum_j (2bF)^j T_jlm K_jm(r) Q_{2j-l+1}, and
-    dQ_k/dr = -2 bF^2 r Q_{k+1} + bF e_z Q_{k-1} (from dQ_k/drho = -2 rho Q_{k+1},
-    dQ_k/dzeta = Q_{k-1}), so every order the sum and its gradient need,
-    Q_{2|m|-l} ... Q_{l+2}, comes from one table: the float table for one point
-    r (3,), q_table_scaled_grid for points r (..., 3), giving psi (...), grad (..., 3).
+    p = (xi, upsilon, zeta) = bF r is a point's three floats or arrays that
+    broadcast, and g_lm = sum_j 2^j T_jlm K_jm(p) Q_{2j-l+1}(|p|, zeta; eps) =
+    G_lm / [-4 beta bF^(l+3)].  The c K_jm are summed per Q order, and each order
+    used is read from one table: a point's float table, or q_table_scaled_grid
+    on the distinct (rho, zeta) of points (rho = 0 gives nan).  grad psi = d
+    psi/dp (coordinate last), from dQ_k/dp = -2 p Q_{k+1} + e_z Q_{k-1}, is
+    built only if grad.  exp(logscale) is returned, not applied, for callers
+    that join it to a huge factor in log space.  An amplitude may be an array
+    that broadcasts with the points: one wave per element, from one table.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.any(r, axis=-1).all():
-        raise SingularityError("multipole Green function evaluated at the source")
     lmax = max((idx.l for idx in amplitudes), default=0)
     if lmax > GREEN_L_MAX:
         raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {lmax}")
-    beta, bf = ctx.beta, ctx.beta_f
-    if r.ndim == 1:
-        tab, logscale = _q_table_scaled(lmax + 2, ctx.qargs(r, E), -lmax)
-        scale = math.exp(logscale)
-    else:
-        r = np.moveaxis(r, -1, 0)  # components first, as klm_eval unpacks them
-        rho = bf * np.sqrt(np.sum(r * r, axis=0))
-        tab, logscale = q_table_scaled_grid(lmax + 2, rho, bf * r[2], ctx.eps(E), -lmax)
-        scale = np.exp(logscale)
-    psi = up = down = gx = gy = gz = 0.0  # up, down: sums of c K Q_{k+1}, c K Q_{k-1}
+    kk, dk = {}, {}  # per Q order k: sum c K_jm, sum c grad K_jm
     for idx, lam in amplitudes.items():
-        l, m = idx.l, idx.m
-        for j in range(abs(m), l + 1):
-            jdx, k = MultipoleIndex(j, m), 2 * j - l + 1
-            c = -4.0 * lam * beta * bf ** (l + 3) * (2.0 * bf) ** j * translation_coeff_t(j, l, m)
-            kval, ck = c * klm_eval(jdx, r), c * tab[k]
-            psi, up, down = psi + kval * tab[k], up + kval * tab[k + 1], down + kval * tab[k - 1]
-            dx, dy, dz = klm_grad(jdx, r)
-            gx, gy, gz = gx + ck * dx, gy + ck * dy, gz + ck * dz
-    up *= -2.0 * bf * bf
-    grad = (gx + up * r[0], gy + up * r[1], gz + up * r[2] + bf * down)
-    return psi * scale, np.stack([g * scale for g in grad], axis=-1)
+        for j in range(abs(idx.m), idx.l + 1):
+            jdx, k = MultipoleIndex(j, idx.m), 2 * j - idx.l + 1
+            c = lam * 2.0**j * translation_coeff_t(j, idx.l, idx.m)
+            kk[k] = kk.get(k, 0.0) + c * klm_eval(jdx, p)
+            if grad:
+                dk[k] = [s + c * d for s, d in zip(dk.get(k, (0.0,) * 3), klm_grad(jdx, p))]
+    ks = sorted(kk)
+    orders = sorted(set(ks).union(*({k - 1, k + 1} for k in dk)))
+    x, y, z = p
+    if any(isinstance(v, np.ndarray) for v in p):
+        rho = np.sqrt(x * x + y * y + z * z)
+        keys, inv = np.unique(rho + 1j * z if np.ndim(z) else rho, return_inverse=True)
+        zeta = keys.imag if np.ndim(z) else z  # a plane's one zeta stays one number
+        tab, logscale = q_table_scaled_grid(orders[-1], keys.real, zeta, eps, orders[0])
+        inv = inv.reshape(rho.shape)
+        q, logscale = {k: tab[k][inv] for k in orders}, logscale[inv]
+    else:
+        rho = math.sqrt(x * x + y * y + z * z)
+        q, logscale = _q_table_scaled(orders[-1], QArgs(rho, z, eps), orders[0])
+    psi = sum(kk[k] * q[k] for k in ks)
+    if not grad:
+        return psi, None, logscale
+    up = -2.0 * sum(kk[k] * q[k + 1] for k in ks)
+    g = [up * x, up * y, up * z + sum(kk[k] * q[k - 1] for k in ks)]
+    g = [gi + sum(dk[k][i] * q[k] for k in ks) for i, gi in enumerate(g)]
+    return psi, np.stack(np.broadcast_arrays(*g), axis=-1), logscale
+
+
+def _green_sum(src: SourceSuperposition, r, ctx: PhysicalContext, grad: bool = False):
+    """(psi, grad psi or None) of psi = sum lambda_lm G_lm(r - origin; E + F z_origin)
+    at one point r (3,) or points r (..., 3): _wave at p = bF (r - origin) with
+    the amplitudes lambda_lm bF^l."""
+    r = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
+    if not np.any(r, axis=-1).all():
+        raise SingularityError("multipole Green function evaluated at the source")
+    bf = ctx.beta_f
+    p = [bf * c for c in r.tolist()] if r.ndim == 1 else bf * np.moveaxis(r, -1, 0)
+    amps = {idx: lam * bf**idx.l for idx, lam in src.amplitudes.items()}
+    psi, dpsi, logscale = _wave(amps, p, ctx.eps(src.energy + ctx.force * src.origin[2]), grad)
+    scale = -4.0 * ctx.beta * bf**3 * np.exp(logscale)
+    return psi * scale, None if dpsi is None else dpsi * (bf * scale)[..., None]
 
 
 def green_lm(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:
     """Multipole Green function G_lm(r, o; E) for a source at the origin."""
-    return _wave({idx: 1.0}, r, E, ctx)[0]
+    return _green_sum(SourceSuperposition({idx: 1.0}, E), r, ctx)[0]
 
 
-def green_lm_grad(
-    idx: MultipoleIndex, r, E: float, ctx: PhysicalContext
-) -> tuple[complex, np.ndarray]:
-    """G_lm and its Cartesian gradient, assembled analytically from one Q table.
-
-    Uses dQ_k/drho = -2 rho Q_{k+1}, dQ_k/dzeta = Q_{k-1} plus the product
-    rule on the solid harmonics; no numerical differentiation.
-    """
-    return _wave({idx: 1.0}, r, E, ctx)
+def green_lm_grad(idx: MultipoleIndex, r, E: float,
+                  ctx: PhysicalContext) -> tuple[complex, np.ndarray]:
+    """G_lm and its Cartesian gradient, from one Q table by dQ_k/drho = -2 rho
+    Q_{k+1}, dQ_k/dzeta = Q_{k-1} and the solid harmonics' product rule."""
+    return _green_sum(SourceSuperposition({idx: 1.0}, E), r, ctx, grad=True)
 
 
 def _far_current(amp_a, amp_b, ap, ctx: PhysicalContext):
@@ -238,8 +254,7 @@ def green_lm_far(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> comp
 
 def scattering_wave(src: SourceSuperposition, r, ctx: PhysicalContext) -> complex:
     """psi(r) = sum_lm lambda_lm G_lm(r - origin; E + F z_origin), from one Q table."""
-    d = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
-    return _wave(src.amplitudes, d, src.energy + ctx.force * src.origin[2], ctx)[0]
+    return _green_sum(src, r, ctx)[0]
 
 
 def current_density(src: SourceSuperposition, r, ctx: PhysicalContext) -> np.ndarray:
@@ -247,8 +262,7 @@ def current_density(src: SourceSuperposition, r, ctx: PhysicalContext) -> np.nda
 
     r and j are one point (3,) or points (..., 3); psi, grad psi share one Q table.
     """
-    d = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
-    psi, grad = _wave(src.amplitudes, d, src.energy + ctx.force * src.origin[2], ctx)
+    psi, grad = _green_sum(src, r, ctx, grad=True)
     return (ctx.hbar / ctx.mass) * np.imag(np.conj(psi)[..., None] * grad)
 
 

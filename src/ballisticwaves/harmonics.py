@@ -38,14 +38,16 @@ class MultipoleIndex:
 
 @dataclass(frozen=True)
 class MonomialExpansion:
-    """K_lm as a sum of monomials coeff * x^p * y^q * z^s with p+q+s = l."""
+    """K_lm as a sum of monomials coeff * x^p * y^q * z^s with p+q+s = l; a call
+    leaves zero powers out (no float changes, and a constant stays one number)."""
 
     l: int
     m: int
     terms: tuple[tuple[int, int, int, complex], ...]
 
     def __call__(self, x: complex, y: complex, z: complex) -> complex:
-        return sum(c * x**p * y**q * z**s for p, q, s, c in self.terms)
+        xyz = (x, y, z)
+        return sum(math.prod([v**n for v, n in zip(xyz, e) if n], start=c) for *e, c in self.terms)
 
 
 def _check_index(idx: MultipoleIndex) -> MultipoleIndex:

@@ -287,3 +287,27 @@ def assert_same_floats(got, want, tol: float, scale=None) -> None:
     else:
         scale = np.abs(want) if scale is None else scale
         assert np.all(np.abs(got - want) <= tol * scale)
+
+
+def beam_mantissa(weights, table, alpha, xi, ups, zeta_t):
+    """The closed-form Q brackets of the Gaussian beams (l <= 1):
+    sum_w w psi_lm / [beta (bF)^3 Lambda(eps_t) e^logq] over a Q mantissa table,
+
+    psi_00   = -4 Q_1,
+    psi_10   =  4 sqrt(2) alpha [2 zeta_t Q_2 - 4 alpha^2 Q_1 + Q_0],
+    psi_1+-1 = -+ 8 alpha (xi +- i upsilon) Q_2,
+
+    with every Q at the virtual point (rho_t, zeta_t; eps_t).  The table and the
+    coordinates may be floats or arrays.
+    """
+    total = 0.0
+    for idx, w in weights.items():
+        if idx.l == 0:
+            psi = -4.0 * table[1]
+        elif idx.m == 0:
+            bracket = 2.0 * zeta_t * table[2] - 4.0 * alpha**2 * table[1] + table[0]
+            psi = 4.0 * math.sqrt(2.0) * alpha * bracket
+        else:
+            psi = -idx.m * 8.0 * alpha * (xi + 1j * idx.m * ups) * table[2]
+        total = total + w * psi
+    return total

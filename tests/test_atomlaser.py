@@ -14,8 +14,8 @@ import pytest
 import scipy.integrate
 from scipy.special import gammaln, logsumexp
 
-from ballisticwaves import atomlaser
-from ballisticwaves.airyq import QArgs, q_scaled, q_table_scaled_grid
+from ballisticwaves import atomlaser, ballistic
+from ballisticwaves.airyq import QArgs, _q_table_scaled, q_scaled, q_table_scaled_grid
 from ballisticwaves.atomlaser import (
     LATTICE_N_MAX,
     GaussianSource,
@@ -405,31 +405,36 @@ def _equality_grids():
 
 
 def test_detector_grids_built_per_radius_equal_per_pixel_tables():
-    # One Q table on the distinct radii, scattered back, must give exactly the
-    # image whose tables are built on the full per-pixel rho_t.
+    # A beam plane is one _wave call at the virtual point, whose Q table holds
+    # the distinct radii.  Against the closed-form Q brackets over tables built
+    # on the full per-pixel rho_t it agrees to 1e-14 of the peak where the
+    # bracket is one term, and to 1e-12 where the (1, 0) bracket cancels
+    # (about 3 of 16 digits at these scales).
     E = _detuning_energy(4000.0)
     sources = [
-        (GaussianSource(N_ATOMS, RABI, A2), None, {MultipoleIndex(0, 0): 1.0}),
+        (GaussianSource(N_ATOMS, RABI, A2), None, {MultipoleIndex(0, 0): 1.0}, 1e-14),
         (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)), None,
-         {MultipoleIndex(1, 1): 1.0}),
+         {MultipoleIndex(1, 1): 1.0}, 1e-14),
         (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, -1)), None,
-         {MultipoleIndex(1, -1): 1.0}),
+         {MultipoleIndex(1, -1): 1.0}, 1e-14),
+        (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 0)), None,
+         {MultipoleIndex(1, 0): 1.0}, 1e-12),
         (GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)), "perpendicular",
-         perp_vortex_source(GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1)))),
+         perp_vortex_source(GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 1))), 1e-12),
     ]
     latt = _small_lattice(n_shells=2)
     for grid in _equality_grids():
-        for src, orientation, weights in sources:
+        for src, orientation, weights, tol in sources:
             alpha, xi, ups, zeta_t, rho_t = _per_pixel_vars(grid, src.width)
             eps_t = CTX.eps(E) + 4.0 * alpha**4
             logl = atomlaser.log_virtual_strength(src.n_atoms, src.rabi, src.width, eps_t, CTX)
             table, logq = q_table_scaled_grid(2, rho_t, zeta_t, eps_t)
-            mant = CTX.beta * CTX.beta_f**3 * atomlaser._beam_mantissa(
+            mant = CTX.beta * CTX.beta_f**3 * oracles.beam_mantissa(
                 weights, table, alpha, xi, ups, zeta_t
             )
             want = np.abs(mant) ** 2 * np.exp(2.0 * (logl + logq))
             got = beam_density_grid(src, grid, E, CTX, orientation).values
-            assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= tol * want.max()
 
         # The lattice weights per (|u|, rho_t) pair, in other blocks of radii
         # and pixels, must give every pixel exactly what lattice_beam, the
@@ -444,6 +449,65 @@ def test_detector_grids_built_per_radius_equal_per_pixel_tables():
         ])
         want = np.abs(psi) ** 2  # as the plane forms its density
         oracles.assert_same_floats(got, want, 1e-11, want.max())
+
+
+def test_beam_tables_see_the_shifted_variables_bit_for_bit(monkeypatch):
+    # The virtual point reaches the Q tables as the floats of scaled_vars (a
+    # point) and of the per-pixel rho_t (a plane), not as an SI point shifted
+    # by 2 alpha^4 / bF: one ulp of zeta_t moves a beam pixel by about 2e-11.
+    seen = []
+    for name in ("_q_table_scaled", "q_table_scaled_grid"):
+        real = getattr(ballistic, name)
+        monkeypatch.setattr(ballistic, name, lambda *a, real=real: seen.append(a) or real(*a))
+    E = _detuning_energy(2500.0)
+    src = GaussianSource(N_ATOMS, RABI, A2, MultipoleIndex(1, 0))
+    r = (3e-6, -2e-6, 1e-3)
+    beam_psi_1m(src, r, E, CTX)
+    sv = scaled_vars(r, E, CTX, A2)
+    assert seen.pop()[1] == QArgs(sv.rho_t, sv.zeta_t, sv.eps_t)
+    _, grid = _equality_grids()
+    beam_density_grid(src, grid, E, CTX)
+    alpha, _, _, zeta_t, rho_t = _per_pixel_vars(grid, A2)
+    _, rho, zeta, eps, _ = seen.pop()
+    assert np.array_equal(rho, np.unique(rho_t))
+    assert (zeta, eps) == (zeta_t, sv.eps_t)
+
+
+def test_beams_are_virtual_point_multipole_waves():
+    # With G_lm = -4 beta bF^(l+3) g_lm e^logscale at the virtual point
+    # (zeta_t, eps_t), and mantissas in units of beta bF^3 Lambda e^logscale:
+    #   psi_00   = 2 sqrt(pi) Lambda G_00,
+    #   psi_1+-1 = -sqrt(8 pi/3) (alpha/bF) Lambda G_1+-1,
+    #   psi_10   = -sqrt(8 pi/3) (alpha/bF) Lambda G_10 + 8 sqrt(2 pi) alpha^3 Lambda G_00,
+    # the closed-form brackets against _wave's g_lm from a table on the same floats.
+    rng = np.random.default_rng(2025)
+    p1 = -math.sqrt(8.0 * math.pi / 3.0)
+    for width in (0.5e-6, 1.2e-6, 2e-6, 3e-6):
+        for dnu in (-1000.0, 1500.0, 4000.0):
+            E = _detuning_energy(dnu)
+            for x, y, z in zip(*rng.uniform(-20e-6, 20e-6, (2, 3)), rng.uniform(2e-4, 1.2e-3, 3)):
+                sv = scaled_vars((x, y, z), E, CTX, width)
+                a = sv.alpha
+                table, logq = _q_table_scaled(2, QArgs(sv.rho_t, sv.zeta_t, sv.eps_t))
+
+                def g(l, m):
+                    val, _, logscale = ballistic._wave(
+                        {MultipoleIndex(l, m): 1.0}, (sv.xi, sv.upsilon, sv.zeta_t), sv.eps_t
+                    )
+                    assert logscale == logq
+                    return -4.0 * val
+
+                def closed(l, m):
+                    return oracles.beam_mantissa(
+                        {MultipoleIndex(l, m): 1.0}, table, a, sv.xi, sv.upsilon, sv.zeta_t
+                    )
+
+                assert closed(0, 0) == pytest.approx(2.0 * math.sqrt(math.pi) * g(0, 0), rel=1e-14)
+                for m in (1, -1):
+                    assert closed(1, m) == pytest.approx(p1 * a * g(1, m), rel=1e-14)
+                terms = (p1 * a * g(1, 0), 8.0 * math.sqrt(2.0 * math.pi) * a**3 * g(0, 0))
+                # the bracket cancels: bound by its largest term
+                assert abs(closed(1, 0) - sum(terms)) <= 5e-14 * max(map(abs, terms))
 
 
 def test_lattice_beam_grid_matches_scalar_everywhere():

@@ -61,6 +61,21 @@ def test_context_scales():
         PhysicalContext(ELECTRON_MASS, 0.0)
 
 
+def test_context_scales_are_computed_once_with_the_formula_floats():
+    ctx = PhysicalContext(ELECTRON_MASS, 116.0 * ELEMENTARY_CHARGE)
+    twin = PhysicalContext(ELECTRON_MASS, 116.0 * ELEMENTARY_CHARGE)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    beta = (ctx.mass / (4.0 * ctx.hbar**2 * ctx.force**2)) ** (1.0 / 3.0)
+    assert ctx.beta == beta and ctx.beta_f == beta * ctx.force
+    assert ctx.eps(E0) == -2.0 * beta * E0
+    assert ctx.beta is ctx.beta and ctx.beta_f is ctx.beta_f  # one float, kept
+    # A context whose scales are computed equals and hashes as one whose are not.
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert ctx != PhysicalContext(ELECTRON_MASS, 117.0 * ELEMENTARY_CHARGE)
+    with pytest.raises(AttributeError):
+        ctx.force = 1.0
+
+
 def test_green_swave_is_q1():
     r = (0.4e-7, -0.3e-7, 0.9e-7)
     a = CTX.qargs(r, E0)
@@ -532,9 +547,10 @@ def test_profile_exact_mode_far_agreement():
 
 
 def test_profile_exact_mode_matches_pixel_loop():
-    # The exact image is one current_density call over the plane; the
-    # per-pixel loop is its reference, on a near-field plane that holds the
-    # on-axis pixel and on the detector plane.
+    # The exact image is one current_density call over the plane, with one Q
+    # table entry per distinct (rho, zeta) of its pixels (on a centred plane
+    # up to 8 pixels share one); the per-pixel loop is its reference, on a
+    # near-field plane that holds the on-axis pixel and on the detector plane.
     bf = CTX.beta_f
     for grid in (
         DetectorGrid.centered(1.5 / bf, 4.0 / bf, 4.0 / bf, 9, 9),

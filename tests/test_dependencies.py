@@ -29,8 +29,10 @@ FIRST_USE = FIRST_CALLS + 'print("sympy" in sys.modules)\n'
 
 
 # The first calls, the large-|x| scalar Airy paths, the far-field forms at one
-# detector point, and 16^2 far-field (pi, tilt45) and exact detector images;
-# prints whether scipy got imported along the way.
+# detector point, 16^2 far-field (pi, tilt45) and exact detector images, and
+# the atom-laser beams of the virtual point source (16^2 parallel and
+# perpendicular images, a perpendicular beam at one point); prints whether
+# scipy got imported along the way.
 FIRST_USE_WITHOUT_SCIPY = FIRST_CALLS + """
 from ballisticwaves import specfun
 from ballisticwaves.ballistic import (
@@ -50,6 +52,15 @@ grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
 photodetachment_profile("pi", grid, energy, ctx)
 photodetachment_profile("tilt45", grid, energy, ctx)
 photodetachment_profile("pi", grid, energy, ctx, mode="exact")
+
+from ballisticwaves import atomlaser
+
+actx = atomlaser.rb87_context()
+beam = atomlaser.GaussianSource(1e6, 628.0, 2e-6, MultipoleIndex(1, 1))
+beam_grid = DetectorGrid.centered(1e-3, 30e-6, 30e-6, 16, 16)
+for orientation in (None, "perpendicular"):
+    atomlaser.beam_density_grid(beam, beam_grid, 1e-30, actx, orientation)
+atomlaser.beam_psi_perp(beam, (3e-6, -2e-6, 1e-3), 1e-30, actx)
 print("scipy" in sys.modules)
 """
 

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ballisticwaves.ballistic import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR
+from ballisticwaves.ballistic import (
+    ELECTRON_MASS,
+    ELEMENTARY_CHARGE,
+    HBAR,
+    PhysicalContext,
+    green_lm,
+)
 from ballisticwaves.errors import DomainError, SingularityError
 from ballisticwaves.freespace import (
     RadialSourceProfile,
@@ -152,3 +158,28 @@ def test_free_total_current_weighted_sum():
         + 0.25 * wigner_current(MultipoleIndex(1, -1), E1, M)
     )
     assert free_total_current(strengths, E1, M) == pytest.approx(want, rel=1e-13)
+
+
+def test_uniform_field_green_functions_reach_the_free_ones_as_the_force_vanishes():
+    # With M = hbar = 1 and E = 0.5 (k = 1), |G_lm/G_free - 1| is O(F) at a
+    # fixed point.  Where its O(F) term is one smooth term, the deviation per
+    # unit force agrees to 1e-2 between F and F/10.  Two regions are left out:
+    # - m = 0 with l <= 1: between F and F/10 the deviation per unit force
+    #   moves by 10% to 5 times its size.  This fits a second classical path,
+    #   which leaves the source nearly against the force, where only m = 0
+    #   waves radiate, and adds an O(F) term whose phase turns fast with F;
+    # - F = 1e-8, and F = 1e-7 for l >= 8: the float Airy phases
+    #   (2/3)|alpha_+-|^(3/2), about 3e7 at F = 1e-8, cancel to k r, so G_lm
+    #   keeps only about 8 digits there.
+    r, energy = (0.7, -0.4, 1.3), 0.5
+    forces = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+    smooth = {(2, 1): 4, (4, 2): 4, (8, -3): 3, (12, 12): 3, (12, 0): 3}
+    for lm in ((0, 0), (1, 0), (2, 1), (4, 2), (8, -3), (12, 12), (12, 0)):
+        idx = MultipoleIndex(*lm)
+        free = green_free_lm(idx, r, energy, 1.0, 1.0)
+        dev = [green_lm(idx, r, energy, PhysicalContext(1.0, f, 1.0)) / free - 1.0 for f in forces]
+        for d, f in zip(dev, forces):
+            assert abs(d) <= 2.0 * f, (lm, f)  # falls as F
+        slopes = [d / f for d, f in zip(dev, forces)][: smooth.get(lm, 0)]
+        for s, s10 in zip(slopes, slopes[1:]):
+            assert abs(s10 - s) <= 1e-2 * abs(s), (lm, s, s10)
