@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airyq import _q_diagonal_blocks, qi_scaled
-from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, _wave
+from .ballistic import G_EARTH, HBAR, RB87_MASS, DetectorGrid, PhysicalContext, _exp, _wave
 from .errors import (
     DomainError,
     RegimeError,
@@ -207,10 +208,10 @@ def virtual_strength(src: GaussianSource, E: float, ctx: PhysicalContext) -> flo
     """Virtual point-source strength Lambda(eps_t) (may overflow to inf)."""
     eps_t = ctx.eps(E) + 4.0 * (ctx.beta_f * src.width) ** 4
     logval = log_virtual_strength(src.n_atoms, src.rabi, src.width, eps_t, ctx)
-    try:
-        return math.exp(logval)
-    except OverflowError:
-        return math.inf
+    return _exp(logval)
+
+
+_S00, _P10 = MultipoleIndex(0, 0), MultipoleIndex(1, 0)
 
 
 def _beam(weights, src: GaussianSource, x, y, z: float, E: float, ctx: PhysicalContext):
@@ -220,31 +221,32 @@ def _beam(weights, src: GaussianSource, x, y, z: float, E: float, ctx: PhysicalC
       psi_00 = 2 sqrt(pi) Lambda G_00,  psi_1+-1 = -sqrt(8 pi/3) (alpha/bF) Lambda G_1+-1,
       psi_10 = -sqrt(8 pi/3) (alpha/bF) Lambda G_10 + 8 sqrt(2 pi) alpha^3 Lambda G_00,
     the last term the energy derivative d/dz' = -d/dz + F d/dE.  One _wave call
-    serves all weights: several at a point get one amplitude element each, weighted
+    serves all weights: several at a point are one amplitude column each, weighted
     after, so a sum of beams rounds as its single-source calls; else they are folded
     into the amplitudes, at less cost.
     """
     bf = ctx.beta_f
     alpha = bf * src.width
     eps_t = ctx.eps(E) + 4.0 * alpha**4
-    amps: dict[MultipoleIndex, np.ndarray] = {}
+    amps: dict[MultipoleIndex, list] = {}
     for i, idx in enumerate(weights):
         amp = {idx: -math.sqrt(8.0 * math.pi / 3.0) * alpha if idx.l else 2.0 * math.sqrt(math.pi)}
-        if idx == MultipoleIndex(1, 0):
-            amp[MultipoleIndex(0, 0)] = 8.0 * math.sqrt(2.0 * math.pi) * alpha**3
+        if idx == _P10:
+            amp[_S00] = 8.0 * math.sqrt(2.0 * math.pi) * alpha**3
         for jdx, c in amp.items():
-            amps.setdefault(jdx, np.zeros(len(weights)))[i] = c
+            amps.setdefault(jdx, [0.0] * len(weights))[i] = c
     w = list(weights.values())
-    fold = len(w) == 1 or np.ndim(x) or np.ndim(y)
+    fold = len(w) == 1 or isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
     if fold:
-        amps = {jdx: float(np.dot(w, a)) for jdx, a in amps.items()}
+        amps = {jdx: w[0] * a[0] if len(w) == 1 else float(np.dot(w, a)) for jdx, a in amps.items()}
     psi, _, logq = _wave(amps, (bf * x, bf * y, bf * z + 2.0 * alpha**4), eps_t)
-    psi = psi if fold else np.dot(w, psi)
+    psi = psi if fold else sum(map(operator.mul, w, psi))
     logl = log_virtual_strength(src.n_atoms, src.rabi, src.width, eps_t, ctx)
     return -4.0 * ctx.beta * bf**3 * psi, logl + logq
 
 
 def _beam_point(weights, src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
+    """A beam at one point: its pixel's wave, inf in size where the beam overflows."""
     if math.sqrt(sum(float(c) ** 2 for c in r)) < 3.0 * src.width:
         warnings.warn(
             "evaluation point lies within 3 source widths of the condensate; "
@@ -253,13 +255,13 @@ def _beam_point(weights, src: GaussianSource, r, E: float, ctx: PhysicalContext)
             stacklevel=3,
         )
     psi, logscale = _beam(weights, src, *(float(c) for c in r), E, ctx)
-    return complex(psi * math.exp(logscale))
+    return complex(psi * _exp(logscale))
 
 
 def beam_psi_00(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     """Beam wave function of the vortex-free Gaussian source, 2 sqrt(pi) Lambda(eps_t)
     G_00 at the virtual point (= -4 beta (beta F)^3 Lambda Q_1(rho_t, zeta_t; eps_t))."""
-    return _beam_point({MultipoleIndex(0, 0): 1.0}, src, r, E, ctx)
+    return _beam_point({_S00: 1.0}, src, r, E, ctx)
 
 
 def beam_psi_1m(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
@@ -291,11 +293,6 @@ def perp_vortex_source(src: GaussianSource) -> dict[MultipoleIndex, float]:
 def beam_psi_perp(src: GaussianSource, r, E: float, ctx: PhysicalContext) -> complex:
     """Beam wave function of a vortex perpendicular to the force."""
     return _beam_point(perp_vortex_source(src), src, r, E, ctx)
-
-
-def _exp(x):
-    """e^x by math for floats (several times cheaper) and by numpy for arrays."""
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def gaussian_multipole_current(

@@ -27,8 +27,8 @@ from .specfun import (
 )
 from .harmonics import (
     MultipoleIndex,
-    klm_eval,
-    klm_grad,
+    _klm_terms,
+    _translation_t,
     klm_operator_on_airy_scaled,
     translation_coeff_t,
 )
@@ -123,32 +123,99 @@ def green_swave(r, r_src, E: float, ctx: PhysicalContext) -> complex:
     return _green_sum(src, r, ctx)[0]
 
 
+def _exp(x):
+    """e^x: numpy's for an array, math's for a float (several times cheaper) with
+    inf where it overflows, as numpy gives."""
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(keys: tuple, grad: bool):
+    """The per-term constants of _wave for amplitudes keyed by keys (a tuple of
+    MultipoleIndex), built once per keys and grad.
+
+    Returns (blocks, powers, ks, orders).  blocks holds one (key position i, Q
+    order k, 2^j T_jlm, monomials of K_jm, gradient monomials) per key and
+    j = |m| ... l, k = 2j - l + 1, in the order the amplitudes come.  A monomial
+    is (coefficient, ((axis, power), ...)) with zero powers left out; the
+    gradient monomials are those of d K_jm / d axis for the three axes, and ()
+    unless grad.  powers[axis] are the powers of that axis any monomial reads,
+    ks the orders of psi and orders every Q order read, sorted.  The keys are
+    valid indices, so the terms come from harmonics' unchecked kernels
+    _klm_terms and _translation_t.
+    """
+    lmax = max((idx.l for idx in keys), default=0)
+    if lmax > GREEN_L_MAX:
+        raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {lmax}")
+    blocks, powers = [], [set(), set(), set()]
+
+    def monomial(c, exps):
+        fac = tuple((ax, n) for ax, n in enumerate(exps) if n)
+        for ax, n in fac:
+            powers[ax].add(n)
+        return c, fac
+
+    for i, idx in enumerate(keys):
+        for j in range(abs(idx.m), idx.l + 1):
+            terms = _klm_terms(j, idx.m)
+            value = tuple(monomial(c, e) for *e, c in terms)
+            slopes = tuple(
+                tuple(monomial(c * e[ax], [n - (a == ax) for a, n in enumerate(e)])
+                      for *e, c in terms if e[ax])
+                for ax in range(3)
+            ) if grad else ()
+            f = 2.0**j * _translation_t(j, idx.l, idx.m)
+            blocks.append((i, 2 * j - idx.l + 1, f, value, slopes))
+    ks = sorted({k for _, k, *_ in blocks})
+    orders = sorted(set(ks).union(*({k - 1, k + 1} for k in ks))) if grad else ks
+    return tuple(blocks), tuple(tuple(sorted(p)) for p in powers), tuple(ks), tuple(orders)
+
+
+def _poly(monomials, pw):
+    """sum c prod axis^power over monomials, the powers read from pw[axis]; each
+    product is formed left to right from c, as K_lm's monomial expansion forms it."""
+    total = 0
+    for c, fac in monomials:
+        for ax, n in fac:
+            c = c * pw[ax][n]
+        total = total + c
+    return total
+
+
 def _wave(amplitudes, p, eps: float, grad: bool = False):
     """(psi, grad psi, logscale) of psi = sum lambda_lm g_lm(p; eps), from one Q table.
 
     p = (xi, upsilon, zeta) = bF r is a point's three floats or arrays that
     broadcast, and g_lm = sum_j 2^j T_jlm K_jm(p) Q_{2j-l+1}(|p|, zeta; eps) =
-    G_lm / [-4 beta bF^(l+3)].  The c K_jm are summed per Q order, and each order
-    used is read from one table: a point's float table, or q_table_scaled_grid
-    on the distinct (rho, zeta) of points (rho = 0 gives nan).  grad psi = d
-    psi/dp (coordinate last), from dQ_k/dp = -2 p Q_{k+1} + e_z Q_{k-1}, is
-    built only if grad.  exp(logscale) is returned, not applied, for callers
-    that join it to a huge factor in log space.  An amplitude may be an array
-    that broadcasts with the points: one wave per element, from one table.
+    G_lm / [-4 beta bF^(l+3)].  The terms come from _plan, cached on the keys of
+    amplitudes: one power table of the three coordinates, then per term a
+    product over it, summed per Q order with its amplitude lambda 2^j T_jlm;
+    no harmonics object is made per call.  Each order used is read from one
+    table: a point's float table (a point stays on floats throughout), or
+    q_table_scaled_grid on the distinct (rho, zeta) of points (rho = 0 gives
+    nan).  grad psi = d psi/dp (coordinate last), from dQ_k/dp = -2 p Q_{k+1} +
+    e_z Q_{k-1}, is built only if grad.  exp(logscale) is returned, not
+    applied, for callers that join it to a huge factor in log space.  At a
+    point an amplitude may also be a sequence (every one of the same length):
+    psi is then the list of the waves of its elements, from the one table and
+    the one set of term values.
     """
-    lmax = max((idx.l for idx in amplitudes), default=0)
-    if lmax > GREEN_L_MAX:
-        raise UnsupportedOrderError(f"l <= {GREEN_L_MAX} required, got {lmax}")
-    kk, dk = {}, {}  # per Q order k: sum c K_jm, sum c grad K_jm
-    for idx, lam in amplitudes.items():
-        for j in range(abs(idx.m), idx.l + 1):
-            jdx, k = MultipoleIndex(j, idx.m), 2 * j - idx.l + 1
-            c = lam * 2.0**j * translation_coeff_t(j, idx.l, idx.m)
-            kk[k] = kk.get(k, 0.0) + c * klm_eval(jdx, p)
-            if grad:
-                dk[k] = [s + c * d for s, d in zip(dk.get(k, (0.0,) * 3), klm_grad(jdx, p))]
-    ks = sorted(kk)
-    orders = sorted(set(ks).union(*({k - 1, k + 1} for k in dk)))
+    blocks, powers, ks, orders = _plan(tuple(amplitudes), grad)
+    pw = [{n: v**n for n in ns} for v, ns in zip(p, powers)]
+    terms = ((i, k, f, _poly(value, pw), [_poly(s, pw) for s in slopes])
+             for i, k, f, value, slopes in blocks)
+    lams = list(amplitudes.values())
+    columns = bool(lams) and isinstance(lams[0], (list, tuple, np.ndarray))
+    if columns:
+        terms = list(terms)
+        sums = [_order_sums(terms, col, grad) for col in zip(*lams)]
+    else:  # a plane holds one K_jm array at a time, and no Q table yet
+        sums = [_order_sums(terms, lams, grad)]
     x, y, z = p
     if any(isinstance(v, np.ndarray) for v in p):
         rho = np.sqrt(x * x + y * y + z * z)
@@ -160,28 +227,58 @@ def _wave(amplitudes, p, eps: float, grad: bool = False):
     else:
         rho = math.sqrt(x * x + y * y + z * z)
         q, logscale = _q_table_scaled(orders[-1], QArgs(rho, z, eps), orders[0])
+    waves = [_combine(kk, dk, q, ks, p) for kk, dk in sums]
+    if columns:
+        return [psi for psi, _ in waves], None, logscale
+    return (*waves[0], logscale)
+
+
+def _order_sums(terms, lams, grad: bool):
+    """Per Q order k: sum c K_jm and, if grad, sum c grad K_jm, with c = lambda
+    2^j T_jlm, over _wave's term values and one column of amplitudes."""
+    kk, dk = {}, {}
+    for i, k, f, value, slopes in terms:
+        c = lams[i] * f
+        kk[k] = kk.get(k, 0.0) + c * value
+        if grad:
+            dk[k] = [s + c * d for s, d in zip(dk.get(k, (0.0,) * 3), slopes)]
+    return kk, dk
+
+
+def _combine(kk, dk, q, ks, p):
+    """(psi, grad psi or None) from the order sums of _order_sums and a Q table."""
     psi = sum(kk[k] * q[k] for k in ks)
-    if not grad:
-        return psi, None, logscale
+    if not dk:
+        return psi, None
+    x, y, z = p
     up = -2.0 * sum(kk[k] * q[k + 1] for k in ks)
     g = [up * x, up * y, up * z + sum(kk[k] * q[k - 1] for k in ks)]
     g = [gi + sum(dk[k][i] * q[k] for k in ks) for i, gi in enumerate(g)]
-    return psi, np.stack(np.broadcast_arrays(*g), axis=-1), logscale
+    if any(isinstance(gi, np.ndarray) for gi in g):
+        return psi, np.stack(np.broadcast_arrays(*g), axis=-1)
+    return psi, np.array(g)
 
 
 def _green_sum(src: SourceSuperposition, r, ctx: PhysicalContext, grad: bool = False):
     """(psi, grad psi or None) of psi = sum lambda_lm G_lm(r - origin; E + F z_origin)
     at one point r (3,) or points r (..., 3): _wave at p = bF (r - origin) with
-    the amplitudes lambda_lm bF^l."""
-    r = np.asarray(r, dtype=float) - np.asarray(src.origin, dtype=float)
-    if not np.any(r, axis=-1).all():
-        raise SingularityError("multipole Green function evaluated at the source")
+    the amplitudes lambda_lm bF^l.  A point goes to _wave as three floats."""
+    r = np.asarray(r, dtype=float)
     bf = ctx.beta_f
-    p = [bf * c for c in r.tolist()] if r.ndim == 1 else bf * np.moveaxis(r, -1, 0)
+    if r.ndim == 1:
+        d = [c - o for c, o in zip(r.tolist(), src.origin)]
+        p, at_source = [bf * c for c in d], not any(d)
+    else:
+        d = r - np.asarray(src.origin, dtype=float)
+        p, at_source = bf * np.moveaxis(d, -1, 0), not np.any(d, axis=-1).all()
+    if at_source:
+        raise SingularityError("multipole Green function evaluated at the source")
     amps = {idx: lam * bf**idx.l for idx, lam in src.amplitudes.items()}
     psi, dpsi, logscale = _wave(amps, p, ctx.eps(src.energy + ctx.force * src.origin[2]), grad)
-    scale = -4.0 * ctx.beta * bf**3 * np.exp(logscale)
-    return psi * scale, None if dpsi is None else dpsi * (bf * scale)[..., None]
+    scale = -4.0 * ctx.beta * bf**3 * _exp(logscale)
+    if dpsi is not None:
+        dpsi = dpsi * (bf * scale if r.ndim == 1 else (bf * scale)[..., None])
+    return psi * scale, dpsi
 
 
 def green_lm(idx: MultipoleIndex, r, E: float, ctx: PhysicalContext) -> complex:

@@ -47,7 +47,13 @@ class MonomialExpansion:
 
     def __call__(self, x: complex, y: complex, z: complex) -> complex:
         xyz = (x, y, z)
-        return sum(math.prod([v**n for v, n in zip(xyz, e) if n], start=c) for *e, c in self.terms)
+        total = 0
+        for *e, c in self.terms:
+            for v, n in zip(xyz, e):
+                if n:
+                    c = c * v**n
+            total = total + c
+        return total
 
 
 def _check_index(idx: MultipoleIndex) -> MultipoleIndex:
@@ -99,6 +105,7 @@ def _klm_terms(l: int, m: int) -> tuple[tuple[int, int, int, complex], ...]:
     return terms
 
 
+@lru_cache(maxsize=None)
 def klm_coeffs(idx: MultipoleIndex) -> MonomialExpansion:
     """Monomial expansion of the solid harmonic K_lm (cached per index)."""
     _check_index(idx)
@@ -138,6 +145,11 @@ def translation_coeff_t(j: int, l: int, m: int) -> float:
     """Coefficient T_jlm of the z-axis translation theorem."""
     if not (abs(m) <= j <= l):
         raise DomainError(f"need |m| <= j <= l, got j={j}, l={l}, m={m}")
+    return _translation_t(j, l, m)
+
+
+def _translation_t(j: int, l: int, m: int) -> float:
+    """T_jlm for |m| <= j <= l, unchecked (ballistic._plan's terms)."""
     return math.sqrt(
         (2 * l + 1)
         / (2 * j + 1)

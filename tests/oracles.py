@@ -311,3 +311,56 @@ def beam_mantissa(weights, table, alpha, xi, ups, zeta_t):
             psi = -idx.m * 8.0 * alpha * (xi + 1j * idx.m * ups) * table[2]
         total = total + w * psi
     return total
+
+
+def wave_per_term(amplitudes, p, eps: float, grad: bool = False):
+    """Reference for ballistic._wave (same signature and result): the per-term
+    assembly that preceded its cached plan.  Each (key, j) term is formed from
+    the public harmonics API, c = lambda 2^j T_jlm times K_jm(p) by klm_eval
+    (and grad K_jm by klm_grad), summed per Q order and read from the library's
+    own Q table; only the term assembly is independent.  Amplitude sequences
+    become numpy arrays, one wave per element.
+    """
+    from ballisticwaves.airyq import QArgs, _q_table_scaled, q_table_scaled_grid
+    from ballisticwaves.harmonics import MultipoleIndex, klm_eval, klm_grad, translation_coeff_t
+
+    kk, dk = {}, {}  # per Q order k: sum c K_jm, sum c grad K_jm
+    for idx, lam in amplitudes.items():
+        lam = np.asarray(lam) if isinstance(lam, (list, tuple)) else lam
+        for j in range(abs(idx.m), idx.l + 1):
+            jdx, k = MultipoleIndex(j, idx.m), 2 * j - idx.l + 1
+            c = lam * 2.0**j * translation_coeff_t(j, idx.l, idx.m)
+            kk[k] = kk.get(k, 0.0) + c * klm_eval(jdx, p)
+            if grad:
+                dk[k] = [s + c * d for s, d in zip(dk.get(k, (0.0,) * 3), klm_grad(jdx, p))]
+    ks = sorted(kk)
+    orders = sorted(set(ks).union(*({k - 1, k + 1} for k in dk)))
+    x, y, z = p
+    if any(isinstance(v, np.ndarray) for v in p):
+        rho = np.sqrt(x * x + y * y + z * z)
+        keys, inv = np.unique(rho + 1j * z if np.ndim(z) else rho, return_inverse=True)
+        zeta = keys.imag if np.ndim(z) else z
+        tab, logscale = q_table_scaled_grid(orders[-1], keys.real, zeta, eps, orders[0])
+        inv = inv.reshape(rho.shape)
+        q, logscale = {k: tab[k][inv] for k in orders}, logscale[inv]
+    else:
+        rho = math.sqrt(x * x + y * y + z * z)
+        q, logscale = _q_table_scaled(orders[-1], QArgs(rho, z, eps), orders[0])
+    psi = sum(kk[k] * q[k] for k in ks)
+    if not grad:
+        return psi, None, logscale
+    up = -2.0 * sum(kk[k] * q[k + 1] for k in ks)
+    g = [up * x, up * y, up * z + sum(kk[k] * q[k - 1] for k in ks)]
+    g = [gi + sum(dk[k][i] * q[k] for k in ks) for i, gi in enumerate(g)]
+    return psi, np.stack(np.broadcast_arrays(*g), axis=-1), logscale
+
+
+def spherical_hankel_mp(l: int, u: float, dps: int = 30) -> complex:
+    """h_l^(+)(u) = -y_l(u) + i j_l(u) from mpmath's Bessel functions of order
+    l + 1/2, j_l = sqrt(pi/2u) J_{l+1/2}(u) and y_l likewise (DLMF 10.47.3),
+    each part rounded once."""
+    with mp.workdps(dps):
+        u = mp.mpf(u)
+        f = mp.sqrt(mp.pi / (2 * u))
+        nu = l + mp.mpf(1) / 2
+        return complex(float(-f * mp.bessely(nu, u)), float(f * mp.besselj(nu, u)))

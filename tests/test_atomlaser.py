@@ -510,6 +510,63 @@ def test_beams_are_virtual_point_multipole_waves():
                 assert abs(closed(1, 0) - sum(terms)) <= 5e-14 * max(map(abs, terms))
 
 
+def test_point_beams_match_the_per_term_reference(monkeypatch):
+    # The point beams through _wave's cached plan against the same beams with
+    # oracles.wave_per_term, the per-term assembly the plan replaced, to 1e-13
+    # relative; several weights at a point (perpendicular) are one amplitude
+    # column each in both.
+    rng = np.random.default_rng(2602)
+    calls = []
+    for width in (0.5e-6, 1.2e-6, 2e-6, 3e-6):
+        for dnu in (-1000.0, 1500.0, 4000.0):
+            E = _detuning_energy(dnu)
+            for x, y, z in zip(*rng.uniform(-20e-6, 20e-6, (2, 2)), rng.uniform(2e-4, 1.2e-3, 2)):
+                r = (x, y, z)
+                calls.append(lambda r=r, E=E, w=width: beam_psi_00(
+                    GaussianSource(N_ATOMS, RABI, w), r, E, CTX))
+                for m in (1, 0, -1):
+                    calls.append(lambda r=r, E=E, w=width, m=m: beam_psi_1m(
+                        GaussianSource(N_ATOMS, RABI, w, MultipoleIndex(1, m)), r, E, CTX))
+                calls.append(lambda r=r, E=E, w=width: beam_psi_perp(
+                    GaussianSource(N_ATOMS, RABI, w, MultipoleIndex(1, 1)), r, E, CTX))
+    got = [call() for call in calls]
+    monkeypatch.setattr(atomlaser, "_wave", oracles.wave_per_term)
+    for call, value in zip(calls, got):
+        assert value == pytest.approx(call(), rel=1e-13)
+
+
+def test_point_beam_is_its_one_pixel_plane_near_the_virtual_source():
+    # Across the virtual source (z = -2 alpha^4 / bF = -0.147 mm for 2 um) a
+    # point beam's |psi|^2 is what its one-pixel plane gives: 0 where the beam
+    # underflows, inf where it overflows (the point raised a bare
+    # OverflowError there), and the same value to 1e-10 elsewhere.
+    E = _detuning_energy(3000.0)
+    cases = [((0, 0), None, beam_psi_00), ((1, 1), None, beam_psi_1m),
+             ((1, 0), None, beam_psi_1m), ((1, 1), "perpendicular", beam_psi_perp)]
+    kinds = set()
+
+    def outcome(call):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", StabilityWarning)
+                return float(np.ravel(call())[0])
+        except Exception as exc:  # noqa: BLE001 - the error class is compared
+            return type(exc)
+
+    for z in [*np.linspace(-6e-4, 6e-4, 13).tolist(), -2e-4]:
+        for idx, orientation, fn in cases:
+            src = GaussianSource(1e5, 100.0, 2e-6, MultipoleIndex(*idx))
+            grid = DetectorGrid(z, np.array([3e-6]), np.array([-2e-6]))
+            point = outcome(lambda: np.abs(fn(src, (3e-6, -2e-6, z), E, CTX)) ** 2)
+            pixel = outcome(lambda: beam_density_grid(src, grid, E, CTX, orientation).values)
+            if isinstance(pixel, type) or not math.isfinite(pixel) or pixel == 0.0:
+                assert point == pixel, (z, idx, orientation, point, pixel)
+            else:
+                assert point == pytest.approx(pixel, rel=1e-10)
+            kinds.add("inf" if pixel == math.inf else "0" if pixel == 0.0 else "finite")
+    assert kinds == {"0", "inf", "finite"}
+
+
 def test_lattice_beam_grid_matches_scalar_everywhere():
     # Every pixel of a plane against its point, a one-pixel call of the same
     # kernel.  The bound needs each pixel to see the log terms of its own |u|:

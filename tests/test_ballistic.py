@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ballisticwaves import airyq
+from ballisticwaves import airyq, ballistic
 from ballisticwaves.airyq import QArgs, q
 from ballisticwaves.ballistic import (
     ALPHA_THRESHOLD,
@@ -662,6 +662,52 @@ def test_one_q_table_per_field_point(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 2
+
+
+def _close(got, want, tol):
+    """got within tol of want, relative to want's largest component."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_plan_matches_the_per_term_reference(monkeypatch):
+    # _wave sums the cached terms of _plan; oracles.wave_per_term is the
+    # per-term assembly through the public harmonics API that it replaced.  At
+    # random points (rho in [0.8, 3.5], alpha_- in [-4, 1]) with l <= 12 and
+    # mixed superpositions of up to three (l, m), and on exact-mode planes, the
+    # two agree to 1e-13 (relative, or of the peak for a plane).
+    rng = np.random.default_rng(2601)
+    bf = CTX.beta_f
+    calls = []
+    for _ in range(40):
+        rho, v = rng.uniform(0.8, 3.5), rng.normal(size=3)
+        r = rho / bf * v / np.linalg.norm(v)
+        E = (rng.uniform(-4.0, 1.0) + bf * r[2] - rho) / (-2.0 * CTX.beta)
+        l = int(rng.integers(0, GREEN_L_MAX + 1))
+        idx = MultipoleIndex(l, int(rng.integers(-l, l + 1)))
+        amps = {}
+        for _ in range(int(rng.integers(1, 4))):
+            lj = int(rng.integers(0, GREEN_L_MAX + 1))
+            amps[MultipoleIndex(lj, int(rng.integers(-lj, lj + 1)))] = complex(
+                *rng.uniform(-1.0, 1.0, 2))
+        src = SourceSuperposition(amps, E, origin=tuple(rng.uniform(-1.0, 1.0, 3) / bf))
+        calls += [
+            lambda idx=idx, r=r, E=E: green_lm(idx, r, E, CTX),
+            lambda idx=idx, r=r, E=E: green_lm_grad(idx, r, E, CTX)[0],
+            lambda idx=idx, r=r, E=E: green_lm_grad(idx, r, E, CTX)[1],
+            lambda src=src, r=r: scattering_wave(src, r + np.asarray(src.origin), CTX),
+            lambda src=src, r=r: current_density(src, r + np.asarray(src.origin), CTX),
+        ]
+    planes = (DetectorGrid.centered(1.5 / bf, 4.0 / bf, 4.0 / bf, 9, 8),
+              DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 12, 12))
+    calls += [
+        lambda grid=grid, pol=pol: photodetachment_profile(pol, grid, E0, CTX, mode="exact").values
+        for grid in planes for pol in ("pi", "sigma", "circular", (0.3 + 0.1j, -0.5j, 0.8))
+    ]
+    got = [call() for call in calls]
+    monkeypatch.setattr(ballistic, "_wave", oracles.wave_per_term)
+    for call, value in zip(calls, got):
+        assert _close(value, call(), 1e-13)
 
 
 def test_source_superposition_order_limit():

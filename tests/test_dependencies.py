@@ -29,16 +29,19 @@ FIRST_USE = FIRST_CALLS + 'print("sympy" in sys.modules)\n'
 
 
 # The first calls, the large-|x| scalar Airy paths, the far-field forms at one
-# detector point, 16^2 far-field (pi, tilt45) and exact detector images, and
-# the atom-laser beams of the virtual point source (16^2 parallel and
-# perpendicular images, a perpendicular beam at one point); prints whether
-# scipy got imported along the way.
+# detector point, 16^2 far-field (pi, tilt45) and exact detector images, a
+# current density and a free partial wave at one point, and the atom-laser
+# beams of the virtual point source (16^2 parallel and perpendicular images, a
+# perpendicular beam at one point); prints whether scipy got imported along
+# the way.  Of the point evaluators only freespace.extended_source_strength
+# (scipy's Simpson rule and spherical_jn) still imports scipy.
 FIRST_USE_WITHOUT_SCIPY = FIRST_CALLS + """
 from ballisticwaves import specfun
 from ballisticwaves.ballistic import (
-    ELECTRON_MASS, ELEMENTARY_CHARGE, DetectorGrid, PhysicalContext, current_density_z_far,
-    green_lm_far, photodetachment_profile,
+    ELECTRON_MASS, ELEMENTARY_CHARGE, DetectorGrid, PhysicalContext, SourceSuperposition,
+    current_density, current_density_z_far, green_lm_far, photodetachment_profile,
 )
+from ballisticwaves.freespace import green_free_lm
 from ballisticwaves.harmonics import MultipoleIndex
 
 specfun.airy_scaled(2e4)
@@ -52,6 +55,10 @@ grid = DetectorGrid.centered(0.514, 1.2e-3, 1.2e-3, 16, 16)
 photodetachment_profile("pi", grid, energy, ctx)
 photodetachment_profile("tilt45", grid, energy, ctx)
 photodetachment_profile("pi", grid, energy, ctx, mode="exact")
+near = (2e-8, -1e-8, 3e-8)
+current_density(SourceSuperposition({p10: 1.0, p11: 0.5j}, energy), near, ctx)
+for l in (0, 2, 12):
+    green_free_lm(MultipoleIndex(l, 1 if l else 0), near, energy, ELECTRON_MASS)
 
 from ballisticwaves import atomlaser
 

@@ -16,13 +16,16 @@ from ballisticwaves.ballistic import (
 from ballisticwaves.errors import DomainError, SingularityError
 from ballisticwaves.freespace import (
     RadialSourceProfile,
+    _spherical_hankel_plus,
     extended_source_strength,
     free_total_current,
     green_free,
     green_free_lm,
     wigner_current,
 )
-from ballisticwaves.harmonics import MultipoleIndex
+from ballisticwaves.harmonics import MultipoleIndex, klm_eval
+
+import oracles
 
 M = ELECTRON_MASS
 E1 = 1e-5 * ELEMENTARY_CHARGE
@@ -79,6 +82,35 @@ def test_green_free_lm_asymptotic_phase():
     # Strip normalization: Y_00 = 1/sqrt(4pi), Y_10(on-axis) = sqrt(3/4pi).
     ratio = (g1 / math.sqrt(3.0)) / (g0 * k)
     assert ratio == pytest.approx(-1j, rel=1e-2)
+
+
+def test_spherical_hankel_matches_mpmath():
+    # h_l^(+) = -y_l + i j_l on 121 log-spaced u in [1e-2, 1e3] for l <= 12,
+    # both parts against 30-digit mpmath to 1e-13 relative, across the switch
+    # from the series (u <= l) to the recurrence (u > l) for j_l.  Near a zero
+    # of a part its relative error grows as 1/|part| (scipy's does the same);
+    # the worst on this grid is 7.6e-14 (real part, l = 5, u = 14.7).
+    for l in range(13):
+        for u in np.geomspace(1e-2, 1e3, 121).tolist() + ([float(l), l + 1e-9] if l else []):
+            got, want = _spherical_hankel_plus(l, u), oracles.spherical_hankel_mp(l, u)
+            assert abs(got.real - want.real) <= 1e-13 * abs(want.real), (l, u)
+            assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag), (l, u)
+
+
+def test_green_free_lm_matches_mpmath_partial_wave():
+    # -(M k^(l+1)/2 pi hbar^2) h_l^(+)(kR) Y_lm(R_hat) at random points with
+    # kR in [0.05, 50], against the mpmath Hankel function and klm_eval.
+    rng = np.random.default_rng(2603)
+    k = _k(E1)
+    for _ in range(40):
+        l = int(rng.integers(0, 13))
+        idx = MultipoleIndex(l, int(rng.integers(-l, l + 1)))
+        v = rng.normal(size=3)
+        R = v / np.linalg.norm(v) * rng.uniform(0.05, 50.0) / k
+        dist = float(np.linalg.norm(R))
+        want = (-M * k ** (l + 1) / (2.0 * math.pi * HBAR**2)
+                * oracles.spherical_hankel_mp(l, k * dist) * klm_eval(idx, R / dist))
+        assert green_free_lm(idx, R, E1, M) == pytest.approx(want, rel=1e-13)
 
 
 def test_wigner_current_threshold_law():
